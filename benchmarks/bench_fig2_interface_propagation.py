@@ -42,7 +42,7 @@ class TestInterfaceUpdate:
             iface.set_attribute("Length", value)
             for copy in copies:
                 # Re-materialise the changed attribute in each copy.
-                copy._attrs["Length"] = value
+                copy._write_cell("Length", value)
 
         benchmark(update_and_refresh)
 
@@ -109,7 +109,7 @@ def register(suite):
             value = 10 + next(counter) % 50
             iface.set_attribute("Length", value)
             for copy in copies:
-                copy._attrs["Length"] = value
+                copy._write_cell("Length", value)
 
         return update_and_refresh
 

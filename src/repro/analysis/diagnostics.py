@@ -256,10 +256,11 @@ register_rule("REP505", "view-ineligible-member", ADVICE,
               "column (container member; queries resolve it per object)")
 
 # REP6xx — engine concurrency invariants (the engine's own source).
-register_rule("REP601", "raw-attrs-write-without-epoch", WARNING,
-              "Direct obj._attrs[...] mutation whose enclosing function "
-              "never bumps _mutation_epoch — memoised readers and value "
-              "indexes will serve the stale value")
+register_rule("REP601", "raw-cell-write-without-epoch", WARNING,
+              "Raw obj._write_cell(...) call whose enclosing function "
+              "neither bumps _mutation_epoch nor restores through "
+              "_restore_attribute — memoised readers, value indexes and "
+              "views will serve the stale value")
 register_rule("REP602", "event-outside-bus", WARNING,
               "Event constructed outside the event bus — it bypasses the "
               "cause-stack stamping every audit consumer relies on")

@@ -4,11 +4,12 @@ PR 5's analyzer proves *schemas* sound before execution; this module does
 the same for the engine's concurrency discipline.  Each rule encodes an
 invariant the subsystems rely on but nothing previously enforced:
 
-* **REP601** — a direct ``obj._attrs[...]`` mutation in a function that
-  never bumps ``_mutation_epoch``.  The raw :class:`~repro.core.slots.
-  AttrsView` write path is deliberately side-effect-free; every raw
-  writer (transaction undo, version revert, merge apply) must manage the
-  epoch itself or memoised readers and value indexes serve stale values.
+* **REP601** — a raw ``obj._write_cell(...)`` call in a function that
+  neither bumps ``_mutation_epoch`` nor goes through
+  ``_restore_attribute``.  The raw cell setter is deliberately
+  side-effect-free; a restore of live state (transaction undo, version
+  revert, merge apply) must take the ``_restore_attribute`` path, or
+  memoised readers, value indexes and views serve stale values.
 * **REP602** — an ``Event(...)`` constructed outside
   ``engine/events.py``.  Only the bus stamps sequence numbers and the
   cause stack; a hand-built event silently breaks every audit consumer.
@@ -25,7 +26,7 @@ and :mod:`repro.analysis.emit` emitters as the schema rules, so
 ``repro lint --engine`` speaks text/JSON/SARIF with no extra plumbing.
 
 Suppression: a justified exception carries ``# lint: allow(REP6xx)`` on
-the offending line — e.g. persistence restore writes ``_attrs`` on fresh
+the offending line — e.g. persistence restore writes raw cells of fresh
 objects no reader has ever memoised.
 """
 
@@ -130,14 +131,18 @@ class _FileLinter(ast.NodeVisitor):
         return out
 
     @staticmethod
-    def _is_attrs_subscript(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "_attrs")
+    def _calls_method(node: ast.AST, name: str) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name)
 
     @classmethod
     def _bumps_epoch(cls, fn: ast.AST) -> bool:
+        """The scope bumps ``_mutation_epoch`` or restores through
+        ``_restore_attribute`` (which bumps it and emits)."""
         for node in cls._walk_own(fn):
+            if cls._calls_method(node, "_restore_attribute"):
+                return True
             if isinstance(node, ast.AugAssign):
                 target: Optional[ast.expr] = node.target
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -152,36 +157,20 @@ class _FileLinter(ast.NodeVisitor):
     def _check_function(
         self, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
-        writes: List[Tuple[int, str]] = []
-        for node in self._walk_own(fn):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if self._is_attrs_subscript(target):
-                        writes.append((node.lineno, "assignment"))
-            elif isinstance(node, ast.AugAssign):
-                if self._is_attrs_subscript(node.target):
-                    writes.append((node.lineno, "augmented assignment"))
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if self._is_attrs_subscript(target):
-                        writes.append((node.lineno, "deletion"))
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in ("update", "pop", "clear",
-                                          "setdefault", "popitem")
-                        and isinstance(func.value, ast.Attribute)
-                        and func.value.attr == "_attrs"):
-                    writes.append((node.lineno, f"{func.attr}() call"))
+        writes = [
+            node.lineno for node in self._walk_own(fn)
+            if self._calls_method(node, "_write_cell")
+        ]
         if writes and not self._bumps_epoch(fn):
-            for line, how in writes:
+            for line in writes:
                 self.findings.append(make(
                     "REP601",
-                    f"raw _attrs {how} in {fn.name}(), which never bumps "
-                    f"_mutation_epoch",
+                    f"raw _write_cell() call in {fn.name}(), which neither "
+                    f"bumps _mutation_epoch nor restores through "
+                    f"_restore_attribute()",
                     subject=fn.name,
                     location=SourceLocation(self.rel, line),
-                    hint="bump obj._mutation_epoch after the write, or go "
+                    hint="restore through obj._restore_attribute(), or go "
                          "through set_attribute()",
                 ))
 

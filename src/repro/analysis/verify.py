@@ -398,7 +398,7 @@ def doubled():
 #: A sacrificial module violating each REP60x invariant once.
 _SEEDED_LINT_DEFECTS = '''
 def sloppy_undo(obj, name, old):
-    obj._attrs[name] = old
+    obj._write_cell(name, old)
 
 def hand_rolled(kind):
     return Event(kind=kind)
@@ -447,7 +447,7 @@ def _race_rounds(locked: bool) -> int:
     """Two threads hammer one object's storage cell; candidate races seen.
 
     ``locked=False`` seeds the defect: raw unsynchronised writes through
-    :class:`~repro.core.slots.AttrsView`.  ``locked=True`` is the clean
+    ``DBObject._write_cell``.  ``locked=True`` is the clean
     twin — every write runs inside a granted exclusive lock on the
     object, so lock hand-off gives the sanitizer both a nonempty lockset
     and a happens-before edge.
@@ -473,7 +473,7 @@ def _race_rounds(locked: bool) -> int:
                         txn_id, surrogate, LockMode.X, wait=True, timeout=10.0
                     )
                 try:
-                    obj._attrs["Cell"] = (txn_id, i)  # lint: allow(REP601)
+                    obj._write_cell("Cell", (txn_id, i))  # lint: allow(REP601)
                 finally:
                     if locked:
                         table.release_all(txn_id)

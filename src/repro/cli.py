@@ -354,7 +354,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     else:
         print(render_table(snap))
         if args.events:
-            ring = db.obs.tap.recent()
+            audit = db.obs.audit
+            ring = audit.events() if audit is not None else []
             print()
             print(f"event ring ({len(ring)} buffered):")
             for event in ring:
@@ -868,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument(
         "--events",
         action="store_true",
-        help="also dump the full event ring (seq, kind, subject, cause)",
+        help="also dump the bus events held in the audit ring "
+        "(seq, kind, subject, cause)",
     )
     p_metrics.add_argument(
         "--watch",

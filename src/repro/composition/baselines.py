@@ -26,6 +26,7 @@ from ..core import resolution as _resolution
 from ..core.inheritance import InheritanceRelationshipType
 from ..core.objects import DBObject, new_object
 from ..core.objtype import TypeBase
+from ..core.slots import UNSET
 from ..errors import SchemaError
 
 __all__ = [
@@ -60,7 +61,7 @@ def _copy_into(source: DBObject, target: DBObject, mapping: Dict[Any, DBObject])
         if value is not None:
             # The copy baseline materialises into brand-new objects; no
             # reader has memoised them, so no epoch bump is needed.
-            target._attrs[name] = value  # lint: allow(REP601)
+            target._write_cell(name, value)  # lint: allow(REP601)
     for name in source.subclass_names():
         target_container = target._subclasses.get(name)
         if target_container is None:
@@ -88,7 +89,7 @@ def _copy_into(source: DBObject, target: DBObject, mapping: Dict[Any, DBObject])
                     participants[role] = mapping.get(value.surrogate, value)
             copy_rel = target_container.create(participants)
             for attr, attr_value in rel.local_attributes().items():
-                copy_rel._attrs[attr] = attr_value  # lint: allow(REP601) — fresh copy
+                copy_rel._write_cell(attr, attr_value)  # lint: allow(REP601) — fresh copy
 
 
 def copy_component(
@@ -110,7 +111,7 @@ def copy_component(
     for name in _resolution.plan_for(component.object_type).attribute_names:
         value = component.get_member(name)
         if value is not None:
-            subobject._attrs[name] = value  # lint: allow(REP601) — fresh copy
+            subobject._write_cell(name, value)  # lint: allow(REP601) — fresh copy
     for name in component.subclass_names():
         target_container = subobject._subclasses.get(name)
         if target_container is None:
@@ -132,9 +133,10 @@ def stale_members(copy: DBObject, component: DBObject) -> List[str]:
     """
     stale = []
     for name in _resolution.plan_for(component.object_type).attribute_names:
-        if name not in copy._attrs:
+        value = copy._local_value(name, UNSET)
+        if value is UNSET:
             continue
-        if copy._attrs[name] != component.get_member(name):
+        if value != component.get_member(name):
             stale.append(name)
     return stale
 

@@ -45,7 +45,8 @@ from .constraints import check_all
 from .inheritance import INHERITOR_ROLE, TRANSMITTER_ROLE, InheritanceRelationshipType
 from .objtype import ObjectType, SubclassSpec, SubrelSpec, TypeBase
 from .reltype import RelationshipType
-from .slots import UNSET, AttrsView, store_for
+from . import slots as _slots
+from .slots import UNSET, store_for
 from .surrogate import Surrogate, SurrogateGenerator
 
 __all__ = [
@@ -96,21 +97,14 @@ class DBObject:
         #: Local attribute values live in the type's slotted column store
         #: (see repro.core.slots): the object holds a row index, one cell
         #: per declared attribute.  Dynamic attributes and post-deletion
-        #: spills go to the lazily allocated overflow dict.  ``_attrs``
-        #: remains available as a raw mapping view (property below).
+        #: spills go to the lazily allocated overflow dict.  Raw access
+        #: goes through _local_value / _write_cell (below).
         store = object_type._store
         if store is None or store.epoch != _resolution._SCHEMA_EPOCH:
             store = store_for(object_type, getattr(database, "obs", None))
         self._store = store
         self._row = store.alloc()
         self._overflow: Optional[Dict[str, Any]] = None
-        #: Raw mapping view over local storage (slots + overflow) — the
-        #: compatibility surface for code that used to poke the
-        #: per-instance dict directly (transaction undo, version revert,
-        #: merge apply, persistence restore).  Pure storage semantics: no
-        #: validation, no events, no epoch bumps.  A plain attribute, not
-        #: a property: the view is stateless and raw writes are hot.
-        self._attrs = AttrsView(self)
         self._subclasses: Dict[str, LocalSubclass] = {}
         self._subrels: Dict[str, LocalRelClass] = {}
         #: rel-type name -> InheritanceLink where self is the inheritor.
@@ -158,10 +152,16 @@ class DBObject:
             raise ObjectDeletedError(f"{self!r} was deleted")
 
     # -- local storage ----------------------------------------------------------
+    #
+    # The raw store API: reads and writes of one local cell (slot or
+    # overflow) with no validation, no events and no epoch bump.  Writers
+    # that are not creating a fresh object restore through
+    # _restore_attribute, which adds the epoch bump and the event (the
+    # engine lint's REP601 holds every other _write_cell call to that).
 
     def _local_value(self, name: str, default: Any = None) -> Any:
         """The locally stored value of ``name`` (no inheritance), or
-        ``default`` — the slot-layer fast path behind ``_attrs.get``."""
+        ``default``."""
         row = self._row
         if row >= 0:
             store = self._store
@@ -177,8 +177,50 @@ class DBObject:
         return overflow.get(name, default)
 
     def _has_local_value(self, name: str) -> bool:
-        """True when ``name`` has a locally stored value (``name in _attrs``)."""
+        """True when ``name`` has a locally stored value."""
         return self._local_value(name, UNSET) is not UNSET
+
+    def _write_cell(self, name: str, value: Any) -> Any:
+        """Raw write of ``name``'s local cell; ``UNSET`` clears it.
+
+        Returns the prior cell (``UNSET`` when there was no local value).
+        Names without a declared slot live in the overflow dict.
+        """
+        san = _slots.TSAN
+        if san is not None:
+            san.write(("cell", self.surrogate, name), label=f"cell:{name}")
+        row = self._row
+        if row >= 0:
+            store = self._store
+            if store.epoch != _resolution._SCHEMA_EPOCH:
+                store.refresh(_resolution.plan_for(self.object_type))
+            slot = store.slot_of.get(name)
+            if slot is not None:
+                column = store.columns[slot]
+                prior = column[row]
+                column[row] = value
+                return prior
+        overflow = self._overflow
+        if value is UNSET:
+            return UNSET if overflow is None else overflow.pop(name, UNSET)
+        if overflow is None:
+            overflow = self._overflow = {}
+        prior = overflow.get(name, UNSET)
+        overflow[name] = value
+        return prior
+
+    def _restore_attribute(self, name: str, value: Any) -> None:
+        """Put a prior local value back (``UNSET``: no local value).
+
+        The one raw-restore path — transaction undo, version
+        revert-and-reject and merge apply.  It bypasses validation and the
+        inheritance read-only rule (the value was legal when stored), but
+        still moves the mutation epoch and emits ``attribute_restored``,
+        so memoised readers, value indexes and views follow it.
+        """
+        self._write_cell(name, value)
+        self._mutation_epoch += 1
+        self._emit("attribute_restored", attribute=name)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DBObject):
@@ -418,7 +460,7 @@ class DBObject:
         entry: Optional["_resolution.MemberEntry"],
         name: str,
     ) -> Any:
-        """Local resolution on the chain's holder, after its ``_attrs`` miss:
+        """Local resolution on the chain's holder, after its local-cell miss:
         containers as lists, declared defaults, then the seed's errors."""
         if entry is not None:
             container = holder._subclasses.get(name)
@@ -524,8 +566,22 @@ class DBObject:
             self.set_attribute(name, value)
 
     def local_attributes(self) -> Dict[str, Any]:
-        """Copy of the locally stored attribute values (no inherited data)."""
-        return AttrsView(self).to_dict()
+        """Copy of the locally stored attribute values (no inherited data):
+        slot order, then overflow."""
+        out: Dict[str, Any] = {}
+        row = self._row
+        if row >= 0:
+            store = self._store
+            if store.epoch != _resolution._SCHEMA_EPOCH:
+                store.refresh(_resolution.plan_for(self.object_type))
+            for name, column in zip(store.names, store.columns):
+                value = column[row]
+                if value is not UNSET:
+                    out[name] = value
+        overflow = self._overflow
+        if overflow is not None:
+            out.update(overflow)
+        return out
 
     # -- containers --------------------------------------------------------------
 

@@ -359,6 +359,11 @@ def naive_binding_link(obj, name: str):
     return None
 
 
+#: Local-cell miss marker for the oracle (``slots.UNSET`` would be a
+#: circular import: slots imports this module).
+_MISSING = object()
+
+
 def naive_get_member(obj, name: str) -> Any:
     """Reference member resolution — the pre-plan interpretive algorithm.
 
@@ -381,8 +386,9 @@ def naive_get_member(obj, name: str) -> Any:
         if obs is not None:
             obs.metrics.counter("reads.inherited").inc()
         return naive_get_member(link.transmitter, name)
-    if name in obj._attrs:
-        return obj._attrs[name]
+    value = obj._local_value(name, _MISSING)
+    if value is not _MISSING:
+        return value
     container = obj._subclasses.get(name)
     if container is not None:
         return container.members()

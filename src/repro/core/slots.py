@@ -27,11 +27,12 @@ relation layout applied at the instance level:
 * **Dynamic attributes** (types with ``allow_dynamic``) and values of
   deleted objects live in a per-object ``_overflow`` dict — the escape
   hatch for everything without a declared slot.
-* :class:`AttrsView` — a ``MutableMapping`` with the exact raw-dict
-  protocol of the old ``obj._attrs``: reads and writes touch storage only,
-  with **no validation, no events, no epoch bumps**.  Transaction undo
-  logs, version revert and merge apply keep writing ``obj._attrs[...]``
-  unchanged; they manage epochs/events themselves.
+* **Raw access** to one object's cells is two methods on
+  :class:`~repro.core.objects.DBObject`: ``_local_value(name, default)``
+  and ``_write_cell(name, value)`` (``UNSET`` clears; returns the prior
+  cell).  Both touch storage only — **no validation, no events, no epoch
+  bumps**; restores go through ``DBObject._restore_attribute``, which
+  adds the epoch bump and the ``attribute_restored`` event.
 
 Row recycling: deleting an object spills its non-UNSET cells into the
 object's overflow dict and releases the row to a free list — a deleted
@@ -41,16 +42,17 @@ column table stays dense for the batch executor.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, MutableMapping
+from typing import Any, Dict, List
 
 from . import resolution as _resolution
 from .interning import intern_name
 
-__all__ = ["UNSET", "TypeStore", "AttrsView", "store_for"]
+__all__ = ["UNSET", "TypeStore", "store_for"]
 
 #: Race-sanitizer guard (:mod:`repro.obs.race`): ``None`` when dark, the
 #: active sanitizer while enabled.  Call sites pay one global load + branch
-#: when dark — the slowlog guard idiom.
+#: when dark — the slowlog guard idiom.  ``DBObject._write_cell`` reads it
+#: here too, for its per-cell write hook.
 TSAN: Any = None
 
 
@@ -185,146 +187,3 @@ def store_for(type_: Any, obs: Any = None) -> TypeStore:
     elif store.epoch != _resolution._SCHEMA_EPOCH:
         store.refresh(_resolution.plan_for(type_, obs))
     return store
-
-
-class AttrsView(MutableMapping[str, Any]):
-    """Raw mapping over one object's local storage (slots + overflow).
-
-    This is the compatibility ``obj._attrs`` surface: plain-dict get /
-    set / pop / contains / iter / len semantics with **no side effects**
-    — no domain validation, no events, no epoch bumps.  The raw writers
-    (transaction undo, version revert, merge apply, persistence restore)
-    rely on exactly that and handle epochs/events themselves.
-    """
-
-    __slots__ = ("_obj",)
-
-    def __init__(self, obj: Any) -> None:
-        self._obj = obj
-
-    def _store(self) -> TypeStore:
-        obj = self._obj
-        store = obj._store
-        if store.epoch != _resolution._SCHEMA_EPOCH:
-            store.refresh(_resolution.plan_for(obj.object_type))
-        return store
-
-    def __getitem__(self, name: str) -> Any:
-        obj = self._obj
-        row = obj._row
-        if row >= 0:
-            store = obj._store
-            if store.epoch != _resolution._SCHEMA_EPOCH:
-                store = self._store()
-            slot = store.slot_of.get(name)
-            if slot is not None:
-                value = store.columns[slot][row]
-                if value is not UNSET:
-                    return value
-                raise KeyError(name)
-        overflow = obj._overflow
-        if overflow is None:
-            raise KeyError(name)
-        return overflow[name]
-
-    def __setitem__(self, name: str, value: Any) -> None:
-        obj = self._obj
-        san = TSAN
-        if san is not None:
-            san.write(("cell", obj.surrogate, name), label=f"cell:{name}")
-        row = obj._row
-        if row >= 0:
-            store = obj._store
-            if store.epoch != _resolution._SCHEMA_EPOCH:
-                store = self._store()
-            slot = store.slot_of.get(name)
-            if slot is not None:
-                store.columns[slot][row] = value
-                return
-        overflow = obj._overflow
-        if overflow is None:
-            overflow = obj._overflow = {}
-        overflow[name] = value
-
-    def __delitem__(self, name: str) -> None:
-        obj = self._obj
-        san = TSAN
-        if san is not None:
-            san.write(("cell", obj.surrogate, name), label=f"cell:{name}")
-        row = obj._row
-        if row >= 0:
-            store = self._store()
-            slot = store.slot_of.get(name)
-            if slot is not None:
-                column = store.columns[slot]
-                if column[row] is UNSET:
-                    raise KeyError(name)
-                column[row] = UNSET
-                return
-        overflow = obj._overflow
-        if overflow is None:
-            raise KeyError(name)
-        del overflow[name]
-
-    def __contains__(self, name: object) -> bool:
-        obj = self._obj
-        row = obj._row
-        if row >= 0 and isinstance(name, str):
-            store = self._store()
-            slot = store.slot_of.get(name)
-            if slot is not None:
-                return store.columns[slot][row] is not UNSET
-        overflow = obj._overflow
-        return overflow is not None and name in overflow
-
-    def __iter__(self) -> Iterator[str]:
-        obj = self._obj
-        row = obj._row
-        if row >= 0:
-            store = self._store()
-            for name, column in zip(store.names, store.columns):
-                if column[row] is not UNSET:
-                    yield name
-        overflow = obj._overflow
-        if overflow is not None:
-            yield from overflow
-
-    def __len__(self) -> int:
-        count = 0
-        for _ in self:
-            count += 1
-        return count
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Materialise as a plain dict (slot order, then overflow)."""
-        obj = self._obj
-        row = obj._row
-        out: Dict[str, Any] = {}
-        if row >= 0:
-            store = self._store()
-            for name, column in zip(store.names, store.columns):
-                value = column[row]
-                if value is not UNSET:
-                    out[name] = value
-        overflow = obj._overflow
-        if overflow is not None:
-            out.update(overflow)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AttrsView):
-            return self.to_dict() == other.to_dict()
-        if isinstance(other, dict):
-            return self.to_dict() == other
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    __hash__ = None  # type: ignore[assignment]  # mutable mapping
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"AttrsView({self.to_dict()!r})"

@@ -66,7 +66,6 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        record_events: bool = False,
         observe: bool = False,
         sanitize: bool = False,
     ):
@@ -85,7 +84,7 @@ class Database:
         self.name = name
         self.surrogates = SurrogateGenerator(name)
         self.catalog = Catalog()
-        self.events = EventBus(record=record_events)
+        self.events = EventBus()
         self._classes: Dict[str, Extent] = {}
         self._objects: Dict[Surrogate, DBObject] = {}
         #: Extent/value indexes + sargable-query planner state (repro.query).
@@ -108,8 +107,9 @@ class Database:
         """Attach (or return the existing) :class:`~repro.obs.Observability`.
 
         Options are forwarded to the bundle: ``tracing`` (default True),
-        ``ring_size``, ``track_propagation``, ``audit`` (default True:
-        keep the causal audit log), ``audit_ring``, ``audit_sink`` (a
+        ``track_propagation``, ``audit`` (default True: keep the causal
+        audit log, which also mirrors every bus event), ``audit_ring``,
+        ``audit_sink`` (a
         JSONL path or sink object), ``slowlog`` (default True: keep the
         slow-operation log), ``slow_budgets`` (per-kind latency budgets
         in seconds, e.g. ``{"query": 0.05}`` — see

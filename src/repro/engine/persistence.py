@@ -156,7 +156,7 @@ def _restore_attrs(obj: DBObject, attrs: Dict[str, Any]) -> None:
         spec = obj.object_type.effective_attribute(name)
         # Freshly loaded objects: no reader has memoised anything yet, so
         # the epoch can stay at its initial value.
-        obj._attrs[name] = spec.validate(decoded) if spec is not None else decoded  # lint: allow(REP601)
+        obj._write_cell(name, spec.validate(decoded) if spec is not None else decoded)  # lint: allow(REP601)
 
 
 def _restore_container(obj: DBObject, ref, by_surrogate) -> None:

@@ -34,7 +34,6 @@ class Observability:
         self,
         database,
         tracing: bool = True,
-        ring_size: int = 256,
         track_propagation: bool = True,
         audit: bool = True,
         audit_ring: int = 1024,
@@ -74,7 +73,6 @@ class Observability:
         self.tap = EventTap(
             database.events,
             self.metrics,
-            ring_size=ring_size,
             track_propagation=track_propagation,
             audit=self.audit,
             slowlog=self.slowlog,

@@ -69,7 +69,7 @@ def _jsonable(value: Any) -> Any:
 def _as_record(item: Any) -> "AuditRecord":
     """Normalise a ring entry.
 
-    Mirrored bus events are stored in the ring as the frozen
+    Mirrored bus events are stored in the ring as the
     :class:`~repro.engine.events.Event` itself (it already carries the full
     record shape — ``seq``/``ts``/``kind``/``subject``/``cause``/``trace``
     with ``data`` as the detail) and are converted here, at read time, so
@@ -183,7 +183,7 @@ class AuditLog:
     def on_event(self, event: Event) -> Event:
         """Mirror a bus event, reusing its causal stamps.
 
-        The frozen event is stored as-is and normalised to an
+        The event is stored as-is and normalised to an
         :class:`AuditRecord` lazily by the readers (:func:`_as_record`),
         keeping the per-event mirror cost to one ring append.
         """
@@ -262,6 +262,15 @@ class AuditLog:
                 continue
             result.append(record)
         return result
+
+    def events(self, kind: Optional[str] = None) -> List[Event]:
+        """The mirrored bus events still in the ring, oldest first,
+        optionally of one kind — the post-mortem event ring."""
+        return [
+            item for item in self.ring
+            if type(item) is not AuditRecord
+            and (kind is None or item.kind == kind)
+        ]
 
     def traces(self) -> List[int]:
         """Distinct trace ids in the ring, in first-appearance order."""

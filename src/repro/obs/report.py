@@ -72,9 +72,13 @@ def snapshot(db, include_events: bool = True) -> Dict[str, Any]:
         "histograms": data["histograms"],
     }
     if include_events:
+        audit = obs.audit
         result["events"] = {
-            "ring_size": obs.tap.ring.maxlen,
-            "recent": [_event_summary(event) for event in obs.tap.ring],
+            "ring_size": audit.ring.maxlen if audit is not None else 0,
+            "recent": [
+                _event_summary(event)
+                for event in (audit.events() if audit is not None else ())
+            ],
         }
     return result
 

@@ -1,4 +1,4 @@
-"""Event-bus telemetry: counters per event kind plus a post-mortem ring.
+"""Event-bus telemetry: counters per event kind and propagation fan-out.
 
 The :class:`EventTap` makes exactly **one** wildcard subscription on the
 database's :class:`~repro.engine.events.EventBus` (so ``observe=False``
@@ -13,12 +13,11 @@ update-propagation story get richer treatment:
 * ``inheritor_bound`` / ``inheritor_unbound`` — per-relationship-type
   binding churn (``inheritance.bound.<name>`` / ``inheritance.unbound.<name>``).
 
-The last ``ring_size`` events are kept in a ring buffer for post-mortem
-inspection (:meth:`EventTap.recent`).
-
 When an :class:`~repro.obs.provenance.AuditLog` is wired in (``audit``),
 the tap also forwards every event to it — **through the same single
-subscription** — and, while measuring propagation, appends one batched
+subscription**; the audit ring is the one place emitted events are kept
+for post-mortem inspection (:meth:`AuditLog.events`).  While measuring
+propagation, the tap appends one batched
 ``propagation.fanout`` record per measured update carrying every
 ``(link, inheritor, depth)`` arrival, causally linked to the update.  The
 batch reuses the tuples the depth walk already yields (one list append
@@ -30,9 +29,7 @@ mutation.
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
-from typing import Deque, List, Optional
 
 from ..core.inheritance import iter_propagation, iter_propagation_depths
 from ..engine.events import Event, EventBus
@@ -42,13 +39,12 @@ __all__ = ["EventTap"]
 
 
 class EventTap:
-    """One subscription turning bus traffic into metrics and a ring buffer."""
+    """One subscription turning bus traffic into metrics (and audit records)."""
 
     def __init__(
         self,
         bus: EventBus,
         metrics: MetricsRegistry,
-        ring_size: int = 256,
         track_propagation: bool = True,
         audit=None,
         slowlog=None,
@@ -58,7 +54,6 @@ class EventTap:
         self.track_propagation = track_propagation
         self.audit = audit
         self.slowlog = slowlog
-        self.ring: Deque[Event] = deque(maxlen=ring_size)
         self._subscription = bus.subscribe(EventBus.WILDCARD, self._on_event)
 
     # -- handler -----------------------------------------------------------------
@@ -66,7 +61,6 @@ class EventTap:
     def _on_event(self, event: Event) -> None:
         metrics = self.metrics
         metrics.counter(f"events.{event.kind}").inc()
-        self.ring.append(event)
         audit = self.audit
         if audit is not None:
             audit.on_event(event)
@@ -140,14 +134,6 @@ class EventTap:
                     else None,
                 )
 
-    # -- inspection --------------------------------------------------------------
-
-    def recent(self, kind: Optional[str] = None) -> List[Event]:
-        """The buffered events, oldest first, optionally filtered by kind."""
-        if kind is None:
-            return list(self.ring)
-        return [event for event in self.ring if event.kind == kind]
-
     # -- lifecycle ---------------------------------------------------------------
 
     def detach(self) -> None:
@@ -158,4 +144,4 @@ class EventTap:
 
     def __repr__(self) -> str:
         attached = "attached" if self._subscription is not None else "detached"
-        return f"<EventTap {attached} buffered={len(self.ring)}>"
+        return f"<EventTap {attached}>"

@@ -27,14 +27,18 @@ Maintenance is incremental and event-driven:
 * extent membership — synchronous hooks from :class:`~repro.engine.storage.Extent`;
 * object lifecycle — synchronous hooks from ``Database._adopt`` /
   ``Database._forget_object``;
-* value changes — bus subscriptions to ``attribute_updated`` and
-  ``attribute_restored`` (the latter emitted by transaction abort,
-  version revert-and-reject and merge apply, which write ``_attrs``
-  directly), re-extracting the subject *and its transitive inheritors*
-  (a transmitter update changes the indexed value of everything bound
-  below it);
+* value changes — ``attribute_updated`` and ``attribute_restored`` (the
+  latter emitted by ``DBObject._restore_attribute``: transaction abort,
+  version revert-and-reject and merge apply), re-extracting the subject
+  *and its transitive inheritors* (a transmitter update changes the
+  indexed value of everything bound below it);
 * topology changes — ``inheritor_bound`` / ``inheritor_unbound`` refresh
   the subject's whole downstream subtree in every value index.
+
+The event-driven half runs on the bus's **maintainer tier** (see
+:mod:`repro.engine.events`), which the manager joins when it builds its
+first value index: it runs before any user subscriber, so a raising
+trigger cannot leave an index behind the store.
 
 On top of the event-driven updates, every index entry records the epoch
 triple of PR 2's resolution engine — the owner's *binding epoch*, the
@@ -350,7 +354,6 @@ class IndexManager:
         self._by_attr: Dict[str, List[ValueIndex]] = {}
         self._class_indexes: Dict[str, List[ValueIndex]] = {}
         self._type_indexes: List[ValueIndex] = []
-        self._subscribed = False
 
     # -- statistics ------------------------------------------------------------
 
@@ -518,7 +521,15 @@ class IndexManager:
         self._value_indexes[(source_kind, source_name, attr)] = index
         self._by_attr.setdefault(attr, []).append(index)
         self._bump("index.built")
-        self._ensure_subscribed()
+        # Handlers are looked up here, at attach time, on purpose: span
+        # wrappers installed on the class before the database exists see
+        # every maintenance call.
+        self.database.events.attach_maintainer("indexes", {
+            "attribute_updated": self._on_attribute_event,
+            "attribute_restored": self._on_attribute_event,
+            "inheritor_bound": self._on_binding_event,
+            "inheritor_unbound": self._on_binding_event,
+        })
         return index
 
     def usable_value_index(self, source_kind: str, source_name: str,
@@ -553,17 +564,7 @@ class IndexManager:
         for index in list(self._value_indexes.values()):
             self._drop(index)
 
-    # -- event-driven value maintenance -----------------------------------------
-
-    def _ensure_subscribed(self) -> None:
-        if self._subscribed:
-            return
-        bus = self.database.events
-        bus.subscribe("attribute_updated", self._on_attribute_event)
-        bus.subscribe("attribute_restored", self._on_attribute_event)
-        bus.subscribe("inheritor_bound", self._on_binding_event)
-        bus.subscribe("inheritor_unbound", self._on_binding_event)
-        self._subscribed = True
+    # -- event-driven value maintenance (the maintainer tier) ------------------
 
     @staticmethod
     def _with_inheritors(obj) -> List[Any]:

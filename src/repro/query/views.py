@@ -21,11 +21,13 @@ type extents:
 * :class:`ViewManager` — attached as ``Database.views``; builds views
   lazily when the planner routes to them and maintains them
   **incrementally** off the same event stream and epochs the
-  :class:`~repro.query.indexes.IndexManager` validates against:
+  :class:`~repro.query.indexes.IndexManager` validates against, on the
+  bus's maintainer tier (joined at the first view build; it runs after
+  index maintenance and before any user subscriber):
 
-  - ``attribute_updated`` / ``attribute_restored`` (txn abort, version
-    revert, merge apply) re-extract the named column for the subject
-    *and its transitive inheritors*;
+  - ``attribute_updated`` / ``attribute_restored`` (the raw-restore path:
+    txn abort, version revert, merge apply) re-extract the named column
+    for the subject *and its transitive inheritors*;
   - ``inheritor_bound`` / ``inheritor_unbound`` re-extract the whole row
     of everything in the subject's downstream subtree;
   - ``subobject_added``/``…_removed`` and ``relationship_created``/
@@ -332,7 +334,6 @@ class ViewManager:
             "query.view.staleness": 0,
         }
         self._views: Dict[Any, TypeView] = {}
-        self._subscribed = False
 
     # -- statistics ------------------------------------------------------------
 
@@ -392,7 +393,17 @@ class ViewManager:
             if not obj._deleted:
                 view.add(obj)
         self._views[type_] = view
-        self._ensure_subscribed()
+        # Looked up at attach time (see IndexManager.ensure_value_index).
+        self.database.events.attach_maintainer("views", {
+            "attribute_updated": self._on_attribute_event,
+            "attribute_restored": self._on_attribute_event,
+            "inheritor_bound": self._on_binding_event,
+            "inheritor_unbound": self._on_binding_event,
+            "subobject_added": self._on_container_event,
+            "subobject_removed": self._on_container_event,
+            "relationship_created": self._on_container_event,
+            "relationship_removed": self._on_container_event,
+        })
         return view
 
     def drop_views(self) -> None:
@@ -490,21 +501,7 @@ class ViewManager:
         if view is not None:
             view.remove(obj)
 
-    # -- event-driven maintenance ----------------------------------------------
-
-    def _ensure_subscribed(self) -> None:
-        if self._subscribed:
-            return
-        bus = self.database.events
-        bus.subscribe("attribute_updated", self._on_attribute_event)
-        bus.subscribe("attribute_restored", self._on_attribute_event)
-        bus.subscribe("inheritor_bound", self._on_binding_event)
-        bus.subscribe("inheritor_unbound", self._on_binding_event)
-        bus.subscribe("subobject_added", self._on_container_event)
-        bus.subscribe("subobject_removed", self._on_container_event)
-        bus.subscribe("relationship_created", self._on_container_event)
-        bus.subscribe("relationship_removed", self._on_container_event)
-        self._subscribed = True
+    # -- event-driven maintenance (the maintainer tier) ------------------------
 
     def _refresh_member_event(self, event: Any, name: str) -> None:
         epoch = _resolution.schema_epoch()

@@ -75,7 +75,8 @@ class Transaction:
         self.wait = wait
         self.lock_timeout = lock_timeout
         self.status = self.ACTIVE
-        self._undo: List[Tuple[DBObject, str, Any, bool]] = []
+        #: (object, attribute, prior local cell — UNSET when it had none).
+        self._undo: List[Tuple[DBObject, str, Any]] = []
         self._checked_in = not persistent
 
     # -- status plumbing ---------------------------------------------------------
@@ -177,13 +178,9 @@ class Transaction:
     def set(self, obj: DBObject, attribute: str, value: Any) -> Any:
         """Write-lock, log undo information, update."""
         self.write(obj, {attribute})
-        # One slot probe instead of two _attrs-view constructions.
-        old = obj._local_value(attribute, _UNSET)
-        had_value = old is not _UNSET
-        if old is _UNSET:
-            old = None
+        prior = obj._local_value(attribute, _UNSET)
         result = obj.set_attribute(attribute, value)
-        self._undo.append((obj, attribute, old, had_value))
+        self._undo.append((obj, attribute, prior))
         return result
 
     # -- expansion locking ----------------------------------------------------------
@@ -274,15 +271,8 @@ class Transaction:
                 )
 
     def _undo_all(self) -> None:
-        for obj, attribute, old, had_value in reversed(self._undo):
-            if had_value:
-                obj._attrs[attribute] = old
-            else:
-                obj._attrs.pop(attribute, None)
-            obj._mutation_epoch += 1
-            # The restore bypasses set_attribute; value indexes listen for
-            # this to re-extract the rolled-back value.
-            obj._emit("attribute_restored", attribute=attribute)
+        for obj, attribute, prior in reversed(self._undo):
+            obj._restore_attribute(attribute, prior)
         self._undo.clear()
 
     def checkin(self) -> None:

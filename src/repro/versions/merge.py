@@ -144,11 +144,9 @@ def merge_versions(
                 MergeConflict(path, "structure", entry.old, None, entry.new)
             )
             continue
-        owner._attrs[attribute] = entry.new
-        owner._mutation_epoch += 1
-        # Direct _attrs write (the state guard would veto set_attribute on
-        # released versions); value indexes listen for the restore event.
-        owner._emit("attribute_restored", attribute=attribute)
+        # A raw restore, not set_attribute: the state guard would veto
+        # set_attribute on released versions.
+        owner._restore_attribute(attribute, entry.new)
         applied.append(entry)
 
     graph.derive(left, merged, state=state)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..core.objects import DBObject
+from ..core.slots import UNSET
 from ..core.surrogate import Surrogate
 from ..errors import VersionError
 
@@ -128,16 +129,11 @@ class StateGuard:
                 # An update invalidates the consistency classification.
                 self._states[guarded.surrogate] = VersionState.IN_DESIGN
             return
-        # Revert and reject.
-        subject = event.subject
-        if event.old is None:
-            subject._attrs.pop(event.attribute, None)
-        else:
-            subject._attrs[event.attribute] = event.old
-        subject._mutation_epoch += 1
-        # Emit before raising: the exception skips any handler still
-        # queued for the original event, including index maintenance.
-        subject._emit("attribute_restored", attribute=event.attribute)
+        # Revert and reject: the restore's own event brings indexes and
+        # views back to the old value before the error propagates.
+        event.subject._restore_attribute(
+            event.attribute, UNSET if event.old is None else event.old
+        )
         raise VersionError(
             f"{guarded!r} is {state} and must not be updated; derive a new "
             f"version instead"

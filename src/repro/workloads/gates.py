@@ -27,9 +27,9 @@ __all__ = [
 ]
 
 
-def gate_database(name: str = "gates", record_events: bool = False) -> Database:
+def gate_database(name: str = "gates") -> Database:
     """A fresh database with the paper's gate schema loaded."""
-    db = Database(name, record_events=record_events)
+    db = Database(name)
     load_gate_schema(db.catalog)
     return db
 

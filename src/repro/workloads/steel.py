@@ -22,9 +22,9 @@ __all__ = [
 ]
 
 
-def steel_database(name: str = "steel", record_events: bool = False) -> Database:
+def steel_database(name: str = "steel") -> Database:
     """A fresh database with the paper's steel schema loaded."""
-    db = Database(name, record_events=record_events)
+    db = Database(name)
     load_steel_schema(db.catalog)
     return db
 

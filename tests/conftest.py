@@ -172,11 +172,11 @@ def gates():
     return build_gate_schema()
 
 
-def build_gate_database(name="gates", record_events=False):
+def build_gate_database(name="gates"):
     """A Database whose catalog holds the gate schema, with stock classes."""
     from repro.engine import Database
 
-    db = Database(name, record_events=record_events)
+    db = Database(name)
     schema = build_gate_schema()
     for type_ in (
         schema.pin_type,
@@ -197,7 +197,7 @@ def build_gate_database(name="gates", record_events=False):
 
 @pytest.fixture
 def gate_db():
-    return build_gate_database(record_events=True)
+    return build_gate_database()
 
 
 def add_pins(owner, n_in=2, n_out=1, x0=0):

@@ -42,12 +42,14 @@ def scan_lockorder(source, name="mod"):
 
 
 class TestRep601RawAttrsWrite:
+    """REP601 targets calls of the raw cell setter ``_write_cell``."""
+
     def test_write_without_epoch_bump_fires(self):
         findings = lint(
             """
             class Store:
                 def poke(self, obj, value):
-                    obj._attrs["Length"] = value
+                    obj._write_cell("Length", value)
             """
         )
         assert codes(findings) == ["REP601"]
@@ -58,8 +60,12 @@ class TestRep601RawAttrsWrite:
             """
             class Store:
                 def poke(self, obj, value):
-                    obj._attrs["Length"] = value
+                    obj._write_cell("Length", value)
                     obj._mutation_epoch += 1
+
+                def restore(self, obj, value):
+                    obj._write_cell("Width", value)
+                    obj._restore_attribute("Length", value)
             """
         )
         assert findings == []
@@ -68,19 +74,27 @@ class TestRep601RawAttrsWrite:
         findings = lint(
             """
             def wipe(obj):
-                obj._attrs.clear()
+                obj._write_cell("Length", UNSET)
 
             def merge(obj, other):
-                obj._attrs.update(other)
+                for name, value in other.items():
+                    obj._write_cell(name, value)
+
+            def nested(obj, value):
+                obj._mutation_epoch += 1
+
+                def later():
+                    obj._write_cell("Length", value)
+                return later
             """
         )
-        assert [d.code for d in findings] == ["REP601", "REP601"]
+        assert [d.code for d in findings] == ["REP601", "REP601", "REP601"]
 
     def test_pragma_suppresses(self):
         findings = lint(
             """
             def fresh_copy(obj, value):
-                obj._attrs["Length"] = value  # lint: allow(REP601)
+                obj._write_cell("Length", value)  # lint: allow(REP601)
             """
         )
         assert findings == []
@@ -282,13 +296,13 @@ class TestSarifGolden:
         assert rules["REP603"]["defaultConfiguration"]["level"] == "error"
         assert rules["REP612"]["defaultConfiguration"]["level"] == "error"
         assert rules["REP601"]["defaultConfiguration"]["level"] == "warning"
-        assert rules["REP601"]["name"] == "raw-attrs-write-without-epoch"
+        assert rules["REP601"]["name"] == "raw-cell-write-without-epoch"
 
     def test_engine_findings_serialise_with_locations(self):
         findings = lint(
             """
             def poke(obj, value):
-                obj._attrs["Length"] = value
+                obj._write_cell("Length", value)
             """,
             path="src/repro/somewhere.py",
         )

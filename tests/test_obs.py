@@ -246,14 +246,14 @@ class TestEventTap:
         assert metrics.value("propagation.fanout_total") == 3 + 2
 
     def test_event_kind_counters_and_ring(self):
-        db = observed_gate_database(ring_size=4)
+        db = observed_gate_database(audit_ring=4)
         iface = make_interface(db, n_in=1, n_out=1)
-        tap = db.obs.tap
+        audit = db.obs.audit
         assert db.obs.metrics.value("events.subobject_added") == 2
-        assert len(tap.recent()) == 4  # ring capped
-        kinds = {event.kind for event in tap.recent()}
+        assert len(audit.events()) == 4  # ring capped
+        kinds = {event.kind for event in audit.events()}
         assert kinds <= {"object_created", "subobject_added", "attribute_updated"}
-        assert tap.recent("subobject_added")[-1].subject is iface
+        assert audit.events("subobject_added")[-1].subject is iface
 
     def test_observe_false_adds_zero_subscriptions(self):
         db = gate_database("unobserved")

@@ -141,13 +141,15 @@ class TestCausalStamps:
 
 class TestAuditLog:
     def test_mirrors_bus_events_with_their_stamps(self, db):
+        seen = []
+        db.events.subscribe("attribute_updated", seen.append)
         iface = make_interface(db)
         event_seqs = {
             r.seq for r in db.obs.audit.records(kind="attribute_updated")
         }
         assert event_seqs  # creation set Length/Width
         # Mirrored records carry the event's own seq (same total order).
-        recent = {e.seq for e in db.obs.tap.recent("attribute_updated")}
+        recent = {e.seq for e in seen}
         assert recent <= event_seqs
         assert iface.get_member("Length") == 10
 
@@ -525,7 +527,7 @@ def test_explain_value_chain_matches_naive_oracle(
     inh = new_object(i_type)
     if set_locals and not (bind_a or bind_b):
         for index, name in enumerate(sorted(perm_a | perm_b)):
-            inh._attrs[name] = index * 100
+            inh._write_cell(name, index * 100)
     if bind_a:
         bind(inh, t1, rel_a)
     if bind_b:

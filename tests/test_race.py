@@ -303,7 +303,7 @@ class TestEngineIntegration:
                                 wait=True, timeout=10.0,
                             )
                         try:
-                            iface._attrs["Length"] = i  # lint: allow(REP601)
+                            iface._write_cell("Length", i)  # lint: allow(REP601)
                         finally:
                             if locked:
                                 table.release_all(txn_id)

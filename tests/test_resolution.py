@@ -135,7 +135,7 @@ def test_plan_matches_oracle_over_random_schemas(recipe):
         # Unbound inheritors may hold local values for inheritable members
         # (classical generalization).
         for index, member in enumerate(sorted(set(perm_a) | set(perm_b))):
-            inh._attrs[member] = values[(index + 5) % len(values)]
+            inh._write_cell(member, values[(index + 5) % len(values)])
     if bind_a:
         bind(inh, t1, rel_a)
     if bind_b:

@@ -3,10 +3,11 @@
 The storage engine change has two halves with an explicit testing oracle
 each:
 
-* **slots vs dicts** — ``obj._attrs`` (an :class:`~repro.core.slots.AttrsView`
-  over the type's column store) must behave exactly like the raw dict it
-  replaced, through creation, mutation, transaction abort, version-guard
-  revert, deletion and schema-epoch migration;
+* **slots vs dicts** — an object's local cells (``local_attributes()``,
+  ``_local_value`` / ``_write_cell`` over the type's column store) must
+  behave exactly like the raw dict they replaced, through creation,
+  mutation, transaction abort, version-guard revert, deletion and
+  schema-epoch migration;
 * **compiled vs tree walk** — compiled slot programs
   (:mod:`repro.expr.compile`) must agree with ``Node.evaluate`` on values
   *and* on errors, and the batch executor / constraint sweep built on them
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core import resolution
 from repro.core.attributes import AttributeSpec
 from repro.core.domains import ANY, INTEGER
-from repro.core.slots import UNSET, AttrsView, store_for
+from repro.core.slots import UNSET, store_for
 from repro.engine import Database
 from repro.engine.integrity import sweep_constraints
 from repro.errors import (
@@ -60,42 +61,43 @@ def fresh_db(constraints=None):
 
 
 # ---------------------------------------------------------------------------
-# deterministic: AttrsView dict semantics
+# deterministic: the raw store API
 # ---------------------------------------------------------------------------
 
 
-class TestAttrsView:
-    def test_view_behaves_like_a_dict(self):
+class TestRawStore:
+    def test_raw_reads_report_stored_cells(self):
         db = fresh_db()
         obj = db.create_object("Part", class_name="Parts", A=1, B="x")
-        view = obj._attrs
-        assert isinstance(view, AttrsView)
-        assert view["A"] == 1 and view["B"] == "x"
-        assert "C" not in view
-        with pytest.raises(KeyError):
-            view["C"]
-        assert sorted(view) == ["A", "B"]
-        assert len(view) == 2
-        assert view.to_dict() == {"A": 1, "B": "x"}
-        assert view == {"A": 1, "B": "x"}
+        assert obj._local_value("A") == 1 and obj._local_value("B") == "x"
+        assert obj._local_value("C") is None
+        assert obj._local_value("C", UNSET) is UNSET
+        assert not obj._has_local_value("C")
+        assert obj.local_attributes() == {"A": 1, "B": "x"}
 
     def test_raw_writes_bypass_validation_and_events(self):
         db = fresh_db()
+        seen = []
+        db.events.subscribe("*", seen.append)
         obj = db.create_object("Part", class_name="Parts", A=1)
-        obj._attrs["C"] = 99
+        seen.clear()
+        epoch = obj._mutation_epoch
+        assert obj._write_cell("C", 99) is UNSET
         assert obj.get_member("C") == 99
-        del obj._attrs["A"]
-        assert "A" not in obj._attrs
-        with pytest.raises(KeyError):
-            del obj._attrs["A"]
+        assert obj._write_cell("A", UNSET) == 1  # UNSET clears, prior back
+        assert not obj._has_local_value("A")
+        assert obj._write_cell("A", UNSET) is UNSET
+        assert seen == [] and obj._mutation_epoch == epoch
 
     def test_undeclared_name_goes_to_overflow(self):
         db = fresh_db()
         obj = db.create_object("Part", class_name="Parts", A=1)
-        obj._attrs["Zig"] = 7  # no slot — raw writes land in overflow
-        assert obj._attrs["Zig"] == 7
+        obj._write_cell("Zig", 7)  # no slot — raw writes land in overflow
+        assert obj._local_value("Zig") == 7
         assert "Zig" not in store_for(obj.object_type).slot_of
         assert obj._overflow == {"Zig": 7}
+        assert obj._write_cell("Zig", UNSET) == 7
+        assert obj._overflow == {}
 
     def test_deleted_object_keeps_last_values(self):
         db = fresh_db()
@@ -103,12 +105,26 @@ class TestAttrsView:
         row = obj._row
         obj.delete()
         assert obj._row == -1
-        # Spilled to overflow: the view still reports the last local state.
-        assert obj._attrs.to_dict() == {"A": 5, "B": 6}
+        # Spilled to overflow: raw reads still report the last local state.
+        assert obj.local_attributes() == {"A": 5, "B": 6}
         # The row is recycled and starts clean.
         other = db.create_object("Part", class_name="Parts")
         assert other._row == row
-        assert other._attrs.to_dict() == {}
+        assert other.local_attributes() == {}
+
+    def test_restore_bumps_epoch_and_emits(self):
+        db = fresh_db()
+        seen = []
+        db.events.subscribe("attribute_restored", seen.append)
+        obj = db.create_object("Part", class_name="Parts", A=1)
+        epoch = obj._mutation_epoch
+        obj._restore_attribute("A", 2)
+        obj._restore_attribute("B", UNSET)
+        assert obj.local_attributes() == {"A": 2}
+        assert obj._mutation_epoch == epoch + 2
+        assert [(e.subject, e.attribute) for e in seen] == [
+            (obj, "A"), (obj, "B"),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +138,7 @@ class TestEpochMigration:
         obj = db.create_object("Part", class_name="Parts", A=1, B=2, C=3)
         resolution.bump_schema_epoch()
         assert obj.get_member("A") == 1
-        assert obj._attrs.to_dict() == {"A": 1, "B": 2, "C": 3}
+        assert obj.local_attributes() == {"A": 1, "B": 2, "C": 3}
 
     def test_new_attribute_gets_fresh_column(self):
         db = fresh_db()
@@ -130,12 +146,12 @@ class TestEpochMigration:
         obj = db.create_object("Part", class_name="Parts", A=1)
         part.attributes["D"] = AttributeSpec("D", INTEGER, default=42)
         resolution.bump_schema_epoch()
-        # The default is visible through the member protocol, the raw view
-        # still shows only stored values.
+        # The default is visible through the member protocol, raw reads
+        # still show only stored values.
         assert obj.get_member("D") == 42
-        assert "D" not in obj._attrs
+        assert not obj._has_local_value("D")
         obj.set_attribute("D", 7)
-        assert obj._attrs["D"] == 7 and obj.get_member("A") == 1
+        assert obj._local_value("D") == 7 and obj.get_member("A") == 1
 
     def test_migration_moves_columns_by_name_zero_copy(self):
         db = fresh_db()
@@ -161,7 +177,7 @@ class TestEpochMigration:
         # change (dict semantics: the key stayed in the dict).
         with pytest.raises(UnknownAttributeError):
             obj.get_member("C")
-        assert obj._attrs["C"] == 9
+        assert obj._local_value("C") == 9
 
     def test_compiled_programs_recompile_after_bump(self):
         db = fresh_db()
@@ -233,10 +249,7 @@ class TestCompiledMatchesInterpreter:
     def test_expression_oracle(self, oracle_db, source, a, b, c, unset):
         db, obj = oracle_db
         for name, value in (("A", a), ("B", b), ("C", c)):
-            if name in unset:
-                obj._attrs.pop(name, None)
-            else:
-                obj._attrs[name] = value
+            obj._write_cell(name, UNSET if name in unset else value)
         node = parse_expression(source)
         program = compiled_for(node, obj.object_type)
         walked = outcome(lambda: node.evaluate(EvalContext(obj)))
@@ -335,7 +348,7 @@ class TestMutationScripts:
 
         for obj, expect, live in zip(objects, shadow, alive):
             if live:
-                assert obj._attrs.to_dict() == expect
+                assert obj.local_attributes() == expect
 
         fast = outcome(lambda: run_query(
             db, f"select * from Parts where {query}", compiled=True))
@@ -392,7 +405,7 @@ class TestSweepOracle:
         db = fresh_db(constraints=["A >= 0", "A <= 10"])
         for w in weights:
             obj = db.create_object("Part", class_name="Parts")
-            obj._attrs["A"] = w  # raw write skips creation-time checking
+            obj._write_cell("A", w)  # raw write skips creation-time checking
         compiled = sweep_constraints(db, compiled=True)
         naive = sweep_constraints(db, compiled=False)
         assert self._violation_keys(compiled) == self._violation_keys(naive)
@@ -413,7 +426,7 @@ class TestSweepOracle:
         constraint = obj.object_type.constraints[0]
         assert constraint.holds(obj) is True
         assert constraint.naive_holds(obj) is True
-        obj._attrs["A"] = -1
+        obj._write_cell("A", -1)
         assert constraint.holds(obj) is False
         assert constraint.naive_holds(obj) is False
 
