@@ -18,8 +18,10 @@ Two unindexed workloads, each in three engine modes:
   oracle, the paper-faithful resolution walk.
 
 The **maintenance tax** cases price the write side: transmitter updates
-at fan-out 50 (one write refreshes 50 view rows) vs fan-out 1, against
-the same writes with no view built.
+at fan-out 50 vs fan-out 1, against the same writes with no view built
+(and with a Length value index as well).  View cells point at the
+holder's store cell, so a transmitter write moves no view row and the
+rounds should cost about the same with and without the view.
 
 The acceptance shape: at 50k objects the view scans beat the tree-walk
 oracle by ~12× (≥7× asserted in-test for noise headroom) and the
@@ -44,12 +46,13 @@ RANGE_QUERY = "select * from Impls where Length > 90"
 _cache = {}
 
 
-def gates_db(n, fan_out=FAN_OUT):
+def gates_db(n, fan_out=FAN_OUT, indexed=False):
     """A cached n-implementation library: n/fan_out interfaces, every
-    implementation inheriting Length/Width, no value indexes."""
-    key = (n, fan_out)
+    implementation inheriting Length/Width; a value index on Length only
+    when ``indexed``."""
+    key = (n, fan_out, indexed)
     if key not in _cache:
-        db = Database(f"e20-{n}-{fan_out}")
+        db = Database(f"e20-{n}-{fan_out}{'-ix' if indexed else ''}")
         db.indexes.auto = False
         iface = db.catalog.define_object_type(
             "Iface", attributes={"Length": ANY, "Width": ANY}
@@ -76,6 +79,9 @@ def gates_db(n, fan_out=FAN_OUT):
         run_query(db, EQ_QUERY)
         run_query(db, RANGE_QUERY)
         run_query(db, EQ_QUERY, views=False)
+        if indexed:
+            db.indexes.auto = True
+            assert run_query(db, EQ_QUERY).plan.access_path == "index-eq"
         _cache[key] = (db, interfaces)
     return _cache[key]
 
@@ -132,8 +138,8 @@ class TestRangeScan:
 
 
 class TestMaintenanceTax:
-    """The write-side price: one transmitter update refreshes fan-out
-    view rows.  Measured as a round of writes over every interface."""
+    """The write-side price of derived state: a round of writes over every
+    interface, with and without the view (and index) built."""
 
     def _write_round(self, db, interfaces):
         for i, iface in enumerate(interfaces):
@@ -144,6 +150,12 @@ class TestMaintenanceTax:
         db, interfaces = gates_db(10_000, fan_out)
         run_query(db, EQ_QUERY)  # view built: maintenance is live
         benchmark(self._write_round, db, interfaces)
+
+    def test_writes_with_view_and_index(self, benchmark):
+        db, interfaces = gates_db(10_000, indexed=True)
+        benchmark(self._write_round, db, interfaces)
+        result = run_query(db, EQ_QUERY)
+        assert len(result) == len(run_query(db, EQ_QUERY, views=False))
 
     @pytest.mark.parametrize("fan_out", [1, FAN_OUT])
     def test_writes_without_view(self, benchmark, fan_out):
@@ -228,6 +240,16 @@ def register(suite):
     def maint_with_view_case():
         db, interfaces = gates_db(10_000)
         run_query(db, EQ_QUERY)
+
+        def round_():
+            for i, iface in enumerate(interfaces):
+                iface.set_attribute("Length", (i + 1) % 97)
+
+        return round_
+
+    @suite.case("write_round_with_view_and_index[10k/fan50]")
+    def maint_with_view_and_index_case():
+        db, interfaces = gates_db(10_000, indexed=True)
 
         def round_():
             for i, iface in enumerate(interfaces):

@@ -248,11 +248,11 @@ def _probe_views(db: Database, instances: Dict[str, Any], report: VerifyReport) 
                     continue
                 else:
                     continue
-            cell = view.columns[view.col_of[member]][vrow]
-            if not _same_outcome(("value", cell), expected):
+            cell = _outcome(lambda: view.cell(obj, member))
+            if not _same_outcome(cell, expected):
                 report.failures.append(
                     f"views: {obj.object_type.name}.{member}: view cell "
-                    f"{cell!r} != oracle {expected[1]!r}"
+                    f"{cell[1]!r} != oracle {expected[1]!r}"
                 )
 
     for name, obj in instances.items():

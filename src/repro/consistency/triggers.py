@@ -103,13 +103,15 @@ def auto_adapt_trigger(
     """The semi-automatic correction pattern of §4.1.
 
     After every transmitter update, run ``corrector(record)`` on each fresh
-    pending :class:`~repro.consistency.adaptation.AdaptationRecord`; when
-    the corrector returns True the record is acknowledged automatically,
-    otherwise it stays on the user's manual worklist.
+    pending :class:`~repro.consistency.adaptation.AdaptationRecord` — the
+    records that update created, nothing older; when the corrector returns
+    True the record is acknowledged automatically, otherwise it stays on
+    the user's manual worklist and is not offered again.  The tracker must
+    be subscribed before the trigger registry (it logs the update first).
     """
 
     def action(event: Event) -> None:
-        for record in tracker.all_pending():
+        for record in tracker.records_for(event):
             if corrector(record):
                 record.acknowledged = True
 

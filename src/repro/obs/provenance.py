@@ -644,14 +644,16 @@ def explain_value(obj, name: str) -> ValueProvenance:
     if view_manager is not None:
         view = view_manager._views.get(obj.object_type)
         if view is not None and view.schema_epoch == schema:
-            col = view.col_of.get(name)
-            vrow = view.row_of.get(obj.surrogate)
-            if col is not None and vrow is not None:
-                cell = view.columns[col][vrow]
+            if name in view.col_of and obj.surrogate in view.row_of:
                 try:
-                    fresh = bool(cell == value)
-                except Exception:  # noqa: BLE001 — incomparable: identity
-                    fresh = cell is value
+                    cell = view.cell(obj, name)
+                except IndexError:  # a live cell that fails to resolve
+                    fresh = False
+                else:
+                    try:
+                        fresh = bool(cell == value)
+                    except Exception:  # noqa: BLE001 — incomparable: identity
+                        fresh = cell is value
                 views.append(
                     f"type:{obj.object_type.name}.{name} "
                     f"({'fresh' if fresh else 'stale'})"

@@ -29,10 +29,12 @@ Maintenance is incremental and event-driven:
   ``Database._forget_object``;
 * value changes — ``attribute_updated`` and ``attribute_restored`` (the
   latter emitted by ``DBObject._restore_attribute``: transaction abort,
-  version revert-and-reject and merge apply), re-extracting the subject
-  *and its transitive inheritors* (a transmitter update changes the
-  indexed value of everything bound below it);
-* topology changes — ``inheritor_bound`` / ``inheritor_unbound`` refresh
+  version revert-and-reject and merge apply).  Entries are grouped by
+  **holder** — the object ``get_member``'s memo resolves the attribute
+  to — so a write re-extracts and moves only the group its subject
+  holds: O(1) per index, whatever the number of inheritors reading
+  through it (the paper's Fig. 2 argument, applied to derived state);
+* topology changes — ``inheritor_bound`` / ``inheritor_unbound`` regroup
   the subject's whole downstream subtree in every value index.
 
 The event-driven half runs on the bus's **maintainer tier** (see
@@ -40,13 +42,13 @@ The event-driven half runs on the bus's **maintainer tier** (see
 first value index: it runs before any user subscriber, so a raising
 trigger cannot leave an index behind the store.
 
-On top of the event-driven updates, every index entry records the epoch
-triple of PR 2's resolution engine — the owner's *binding epoch*, the
-resolved *holder* and the holder's *mutation epoch* — and candidates are
-revalidated with integer compares at lookup time (``index.stale_repairs``
-counts the self-heals).  Indexes record the *schema epoch* they were
-built under and are dropped and rebuilt lazily after any type definition
-or ``declare_inheritor_in`` (the drop-on-schema-change lifecycle).
+On top of the event-driven updates, every entry records its owner's
+*binding epoch* and every group its holder's *mutation epoch* (the
+resolution epochs of :mod:`repro.core.resolution`), and candidates are revalidated with integer compares
+at lookup time (``index.stale_repairs`` counts the self-heals).  Indexes
+record the *schema epoch* they were built under and are dropped and
+rebuilt lazily after any type definition or ``declare_inheritor_in``
+(the drop-on-schema-change lifecycle).
 
 The planner (:mod:`repro.query.planner`) only ever treats index lookups
 as *candidate* sets: the executor re-applies the full ``where`` to every
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core import resolution as _resolution
 from ..errors import UnknownAttributeError
@@ -90,7 +92,7 @@ def kind_of(value: Any) -> int:
     return KIND_OTHER
 
 
-def extract_value(obj, attr: str) -> Any:
+def extract_value(obj: Any, attr: str) -> Any:
     """The value the expression evaluator would see for a bare ``attr``.
 
     Mirrors :meth:`repro.expr.context.EvalContext.lookup` +
@@ -104,41 +106,66 @@ def extract_value(obj, attr: str) -> Any:
         return attr
 
 
-class _Entry:
-    """One indexed object: its extracted value plus the epoch snapshot
-    (owner binding epoch, resolved holder, holder mutation epoch) that
-    lets lookups revalidate with integer compares."""
+class _Group:
+    """The indexed value of one *holder*: the object ``get_member``'s memo
+    resolves the attribute to.  Every tracked object that reads the
+    attribute through the same holder shares the group, so a write to the
+    holder moves one group, whatever its fan-out (§4.2, Fig. 2)."""
 
-    __slots__ = ("obj", "value", "hashable", "rank", "binding_epoch",
-                 "holder", "holder_mutation")
+    __slots__ = ("holder", "tie", "value", "hashable", "mutation", "members")
 
-    def __init__(self, obj, value, hashable, rank, binding_epoch, holder,
-                 holder_mutation):
-        self.obj = obj
-        self.value = value
-        self.hashable = hashable
-        self.rank = rank
-        self.binding_epoch = binding_epoch
+    def __init__(self, holder: Any, tie: int) -> None:
         self.holder = holder
-        self.holder_mutation = holder_mutation
+        #: Unique int naming the group in its bucket and breaking rank
+        #: ties in the sorted array.
+        self.tie = tie
+        self.value: Any = None
+        self.hashable = True
+        #: The holder's mutation epoch when ``value`` was extracted.
+        self.mutation = -1
+        #: The tracked objects reading through the holder (each entry
+        #: knows its position, for O(1) removal).
+        self.members: List[Any] = []
+
+
+class _Entry:
+    """One tracked object: its binding epoch (the topology its group was
+    chosen under), its group and its position in the group."""
+
+    __slots__ = ("obj", "binding_epoch", "group", "pos")
+
+    def __init__(self, obj: Any, binding_epoch: int, group: _Group) -> None:
+        self.obj = obj
+        self.binding_epoch = binding_epoch
+        self.group = group
+        self.pos = len(group.members)
+        group.members.append(obj)
 
 
 class ValueIndex:
     """A secondary index over one attribute of one source.
 
     ``source_kind`` is ``"class"`` (a named extent) or ``"type"`` (all
-    live conforming objects).  Hash buckets serve equality; a sorted
-    ``(rank, surrogate)`` array serves ranges.  Unhashable values (lists
-    from subclass containers, etc.) live in an always-included pool, so
-    they can never be missed — the residual filter decides.
+    live conforming objects).  Values are kept per holder group (see
+    :class:`_Group`): hash buckets of groups serve equality, a sorted
+    ``(rank, tie)`` array serves ranges, and lookups expand the
+    groups into objects.  Unhashable values (lists from subclass
+    containers, etc.) live in an always-included pool, so they can never
+    be missed — the residual filter decides.
+
+    An object whose resolution ``get_member`` does not memoise (a chain
+    through a relationship participant) has no known holder: it is
+    *pinned* to a group of its own, re-extracted by the downstream walk
+    that runs only while pinned entries exist.
     """
 
     __slots__ = ("manager", "source_kind", "source_name", "source_type",
-                 "attr", "schema_epoch", "_entries", "_buckets",
-                 "_unhashable", "_sorted", "_kind_counts")
+                 "attr", "schema_epoch", "_entries", "_groups", "_pinned",
+                 "_buckets", "_unhashable", "_sorted", "_kind_counts",
+                 "_ties")
 
     def __init__(self, manager: "IndexManager", source_kind: str,
-                 source_name: str, source_type, attr: str):
+                 source_name: str, source_type: Any, attr: str) -> None:
         self.manager = manager
         self.source_kind = source_kind
         self.source_name = source_name
@@ -146,13 +173,20 @@ class ValueIndex:
         self.attr = attr
         self.schema_epoch = _resolution.schema_epoch()
         self._entries: Dict[Any, _Entry] = {}
-        self._buckets: Dict[Any, Dict[Any, Any]] = {}
-        self._unhashable: Dict[Any, Any] = {}
-        #: Sorted (rank, surrogate) pairs for comparable values.  rank is
-        #: (KIND, value); surrogate breaks ties, keeping every element
-        #: totally ordered so bisect insert/remove are exact.
-        self._sorted: List[Tuple[Tuple[int, Any], Any]] = []
+        #: holder surrogate -> its group (pinned groups are not here).
+        self._groups: Dict[Any, _Group] = {}
+        #: surrogate -> entry of every pinned object.
+        self._pinned: Dict[Any, _Entry] = {}
+        #: value -> {tie: group}.
+        self._buckets: Dict[Any, Dict[int, _Group]] = {}
+        self._unhashable: Dict[int, _Group] = {}
+        #: Sorted (rank, tie) pairs for comparable values.  rank is
+        #: (KIND, value); the int tie keeps every element totally ordered
+        #: so bisect insert/remove are exact, and finds the group in the
+        #: value's bucket.
+        self._sorted: List[Tuple[Tuple[int, Any], int]] = []
         self._kind_counts = [0, 0, 0]
+        self._ties = itertools.count()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -161,80 +195,132 @@ class ValueIndex:
         return (f"<ValueIndex {self.source_kind}:{self.source_name}"
                 f".{self.attr} n={len(self._entries)}>")
 
-    # -- membership maintenance ------------------------------------------------
-
-    def build(self, members) -> None:
-        for obj in members:
-            if not obj._deleted:
-                self.insert(obj)
-
-    def insert(self, obj) -> None:
+    def _write_hook(self) -> None:
         san = TSAN
         if san is not None:
-            san.write(("index", id(self)), label=f"index:{self.source_name}.{self.attr}")
-        surrogate = obj.surrogate
-        if surrogate in self._entries:
-            self._remove_entry(surrogate)
-        value = extract_value(obj, self.attr)
+            san.write(("index", id(self)),
+                      label=f"index:{self.source_name}.{self.attr}")
+
+    # -- groups ------------------------------------------------------------------
+
+    def _place(self, group: _Group, value: Any) -> None:
+        """File ``group`` under ``value`` (bucket or pool, sorted array)."""
         kind = kind_of(value)
-        rank = None
-        hashable = True
+        group.value = value
+        group.hashable = True
         try:
             bucket = self._buckets.get(value)
             if bucket is None:
                 bucket = self._buckets[value] = {}
-            bucket[surrogate] = obj
+            bucket[group.tie] = group
         except TypeError:
-            hashable = False
-            self._unhashable[surrogate] = obj
+            group.hashable = False
+            self._unhashable[group.tie] = group
             kind = KIND_OTHER
         if kind != KIND_OTHER:
-            rank = (kind, value)
-            insort(self._sorted, (rank, surrogate))
+            insort(self._sorted, ((kind, value), group.tie))
         self._kind_counts[kind] += 1
-        # Epoch snapshot: get_member memoised the holder if the name is a
-        # plan entry and the chain consists of plain objects; otherwise
-        # the object itself is the authority.
+        group.mutation = group.holder._mutation_epoch
+
+    def _unplace(self, group: _Group) -> None:
+        value = group.value
+        if group.hashable:
+            bucket = self._buckets.get(value)
+            if bucket is not None:
+                bucket.pop(group.tie, None)
+                if not bucket:
+                    del self._buckets[value]
+            kind = kind_of(value)
+        else:
+            self._unhashable.pop(group.tie, None)
+            kind = KIND_OTHER
+        if kind != KIND_OTHER:
+            ranks = self._sorted
+            position = bisect_left(ranks, ((kind, value), group.tie))
+            if position < len(ranks) and ranks[position][1] == group.tie:
+                del ranks[position]
+        self._kind_counts[kind] -= 1
+
+    def _refresh_group(self, group: _Group) -> None:
+        """Re-extract one group's value through its holder and move it."""
+        self._write_hook()
+        value = extract_value(group.holder, self.attr)
+        self._unplace(group)
+        self._place(group, value)
+
+    def refresh_holder(self, holder: Any) -> bool:
+        """Re-extract the group ``holder`` supplies, if any: the O(1)
+        upkeep of a write to ``holder``."""
+        group = self._groups.get(holder.surrogate)
+        if group is None or holder._deleted:
+            return False
+        self._refresh_group(group)
+        return True
+
+    # -- membership maintenance ------------------------------------------------
+
+    def build(self, members: Iterable[Any]) -> None:
+        for obj in members:
+            if not obj._deleted:
+                self.insert(obj)
+
+    def insert(self, obj: Any) -> None:
+        """Track ``obj`` (again), filing it under its current holder."""
+        self._write_hook()
+        surrogate = obj.surrogate
+        if surrogate in self._entries:
+            self._remove_entry(surrogate)
+        value = extract_value(obj, self.attr)
         memo = obj._member_memo.get(self.attr)
         if (memo is not None and memo[0] == _resolution.schema_epoch()
                 and memo[1] == obj._binding_epoch):
             holder = memo[2]
+        elif obj._links_as_inheritor:
+            # No memoised holder although the object inherits: its value
+            # may come from anywhere upstream, so it is pinned to itself.
+            holder = None
         else:
             holder = obj
-        self._entries[surrogate] = _Entry(
-            obj, value, hashable, rank, obj._binding_epoch, holder,
-            holder._mutation_epoch,
-        )
+        if holder is None:
+            group = _Group(obj, next(self._ties))
+            self._place(group, value)
+        else:
+            group = self._groups.get(holder.surrogate)
+            if group is None:
+                group = self._groups[holder.surrogate] = _Group(
+                    holder, next(self._ties))
+                self._place(group, value)
+            elif group.mutation != holder._mutation_epoch:
+                self._unplace(group)
+                self._place(group, value)
+        entry = _Entry(obj, obj._binding_epoch, group)
+        if holder is None:
+            self._pinned[surrogate] = entry
+        self._entries[surrogate] = entry
 
-    def remove(self, obj) -> None:
+    def remove(self, obj: Any) -> None:
         self._remove_entry(obj.surrogate)
 
-    def _remove_entry(self, surrogate) -> None:
-        san = TSAN
-        if san is not None:
-            san.write(("index", id(self)), label=f"index:{self.source_name}.{self.attr}")
+    def _remove_entry(self, surrogate: Any) -> None:
+        self._write_hook()
         entry = self._entries.pop(surrogate, None)
         if entry is None:
             return
-        if entry.hashable:
-            bucket = self._buckets.get(entry.value)
-            if bucket is not None:
-                bucket.pop(surrogate, None)
-                if not bucket:
-                    del self._buckets[entry.value]
-            kind = kind_of(entry.value)
-        else:
-            self._unhashable.pop(surrogate, None)
-            kind = KIND_OTHER
-        if entry.rank is not None:
-            position = bisect_left(self._sorted, (entry.rank, surrogate))
-            if (position < len(self._sorted)
-                    and self._sorted[position] == (entry.rank, surrogate)):
-                del self._sorted[position]
-        self._kind_counts[kind] -= 1
+        self._pinned.pop(surrogate, None)
+        group = entry.group
+        members = group.members
+        last = members.pop()
+        if entry.pos < len(members):
+            members[entry.pos] = last
+            self._entries[last.surrogate].pos = entry.pos
+        if not members:
+            self._unplace(group)
+            key = group.holder.surrogate
+            if self._groups.get(key) is group:
+                del self._groups[key]
 
-    def refresh_if_tracked(self, obj) -> bool:
-        """Re-extract one object's value if this index tracks it."""
+    def refresh_if_tracked(self, obj: Any) -> bool:
+        """Regroup one object (its topology moved) if this index tracks it."""
         if obj.surrogate not in self._entries:
             return False
         if obj._deleted:
@@ -245,24 +331,26 @@ class ValueIndex:
 
     # -- lookups ---------------------------------------------------------------
 
-    def estimate_eq(self, key) -> int:
+    def estimate_eq(self, key: Any) -> int:
         try:
             bucket = self._buckets.get(key)
         except TypeError:
             bucket = None
-        return (len(bucket) if bucket else 0) + len(self._unhashable)
+        count = sum(len(g.members) for g in bucket.values()) if bucket else 0
+        return count + sum(len(g.members) for g in self._unhashable.values())
 
-    def lookup_eq(self, key) -> List[Any]:
+    def lookup_eq(self, key: Any) -> List[Any]:
         try:
             bucket = self._buckets.get(key)
         except TypeError:
             bucket = None
-        candidates = list(bucket.values()) if bucket else []
-        if self._unhashable:
-            candidates.extend(self._unhashable.values())
+        candidates = [obj for group in bucket.values()
+                      for obj in group.members] if bucket else []
+        for group in self._unhashable.values():
+            candidates.extend(group.members)
         return candidates
 
-    def range_supported(self, key) -> bool:
+    def range_supported(self, key: Any) -> bool:
         """A range scan is only exact when every indexed value compares
         with the literal — otherwise the full scan's comparison error must
         be allowed to happen, so the planner falls back."""
@@ -276,7 +364,7 @@ class ValueIndex:
             return counts[KIND_NUM] == 0
         return False
 
-    def _range_bounds(self, op: str, key) -> Tuple[int, int]:
+    def _range_bounds(self, op: str, key: Any) -> Tuple[int, int]:
         rank = (kind_of(key), key)
         ranks = self._sorted
         first = lambda element: element[0]  # noqa: E731 - bisect key
@@ -288,35 +376,44 @@ class ValueIndex:
             return 0, bisect_left(ranks, rank, key=first)
         return 0, bisect_right(ranks, rank, key=first)  # "<="
 
-    def estimate_range(self, op: str, key) -> int:
+    def estimate_range(self, op: str, key: Any) -> int:
+        """Groups in the range times the mean group size: exact when every
+        object is its own holder (stored attributes), O(log n) always."""
         low, high = self._range_bounds(op, key)
-        return high - low
+        groups = sum(self._kind_counts)
+        return (high - low) * len(self._entries) // groups if groups else 0
 
-    def lookup_range(self, op: str, key) -> List[Any]:
+    def lookup_range(self, op: str, key: Any) -> List[Any]:
         low, high = self._range_bounds(op, key)
-        entries = self._entries
-        return [entries[surrogate].obj
-                for _, surrogate in self._sorted[low:high]]
+        buckets = self._buckets
+        return [obj for rank, tie in self._sorted[low:high]
+                for obj in buckets[rank[1]][tie].members]
 
     def validate(self, candidates: List[Any]) -> None:
-        """Self-heal: re-extract any candidate whose epoch snapshot is
-        stale (two integer compares per candidate on the happy path)."""
+        """Self-heal: regroup any candidate whose binding epoch moved, and
+        re-extract any group whose holder's mutation epoch moved (integer
+        compares on the happy path; a stale group is repaired once)."""
         entries = self._entries
         repaired = 0
         for obj in candidates:
             entry = entries.get(obj.surrogate)
             if entry is None:
                 continue
-            if (entry.binding_epoch != obj._binding_epoch
-                    or entry.holder_mutation != entry.holder._mutation_epoch):
+            group = entry.group
+            if entry.binding_epoch != obj._binding_epoch:
                 self.refresh_if_tracked(obj)
-                repaired += 1
-                self.manager._audit(
-                    "index.self_heal",
-                    obj,
-                    attribute=self.attr,
-                    index=f"{self.source_kind}:{self.source_name}.{self.attr}",
-                )
+            elif (group.mutation != group.holder._mutation_epoch
+                    and not group.holder._deleted):
+                self._refresh_group(group)
+            else:
+                continue
+            repaired += 1
+            self.manager._audit(
+                "index.self_heal",
+                obj,
+                attribute=self.attr,
+                index=f"{self.source_kind}:{self.source_name}.{self.attr}",
+            )
         if repaired:
             self.manager._bump("index.stale_repairs", repaired)
 
@@ -332,7 +429,7 @@ class IndexManager:
     (benchmark baseline + oracle mode).
     """
 
-    def __init__(self, database):
+    def __init__(self, database: Any) -> None:
         self.database = database
         self.auto = True
         self.min_index_source = 16
@@ -363,7 +460,7 @@ class IndexManager:
         if obs is not None:
             obs.metrics.counter(key).inc(amount)
 
-    def _audit(self, kind: str, subject, **detail) -> None:
+    def _audit(self, kind: str, subject: Any, **detail: Any) -> None:
         """Causal audit record for a maintenance action (no-op unless an
         audit log is attached — one attribute load and a branch)."""
         obs = self.database.obs
@@ -382,7 +479,7 @@ class IndexManager:
 
     # -- object-registry hooks (synchronous, always on) ------------------------
 
-    def object_adopted(self, obj) -> None:
+    def object_adopted(self, obj: Any) -> None:
         san = TSAN
         if san is not None:
             san.write(("extents", id(self)), label="extents")
@@ -398,7 +495,7 @@ class IndexManager:
                     index.insert(obj)
                     self._bump("index.maintenance")
 
-    def object_forgotten(self, obj) -> None:
+    def object_forgotten(self, obj: Any) -> None:
         san = TSAN
         if san is not None:
             san.write(("extents", id(self)), label="extents")
@@ -414,23 +511,23 @@ class IndexManager:
 
     # -- extent hooks (synchronous, from Extent.add/discard) --------------------
 
-    def extent_member_added(self, extent, obj) -> None:
+    def extent_member_added(self, extent: Any, obj: Any) -> None:
         for index in self._class_indexes.get(extent.name, ()):
             index.insert(obj)
             self._bump("index.maintenance")
 
-    def extent_member_removed(self, extent, obj) -> None:
+    def extent_member_removed(self, extent: Any, obj: Any) -> None:
         for index in self._class_indexes.get(extent.name, ()):
             index.remove(obj)
             self._bump("index.maintenance")
 
     # -- the per-type extent index ----------------------------------------------
 
-    def order_token(self, obj) -> int:
+    def order_token(self, obj: Any) -> int:
         """Global adoption ordinal — the scan order of ``objects()``."""
         return self._adopt_order.get(obj.surrogate, 0)
 
-    def _closure(self, resolved) -> Tuple[Any, ...]:
+    def _closure(self, resolved: Any) -> Tuple[Any, ...]:
         """Concrete types with buckets that conform to ``resolved``."""
         version = (_resolution.schema_epoch(), self._types_version)
         cached = self._closures.get(id(resolved))
@@ -443,7 +540,8 @@ class IndexManager:
         self._closures[id(resolved)] = (version, types)
         return types
 
-    def objects_of_type(self, resolved, include_subtypes: bool = True) -> List[Any]:
+    def objects_of_type(self, resolved: Any,
+                        include_subtypes: bool = True) -> List[Any]:
         """All live objects of a type, in the registry's adoption order —
         O(result), serving what used to be a full-database scan."""
         self._bump("index.type_lookups")
@@ -464,7 +562,8 @@ class IndexManager:
         merged.sort(key=lambda obj: order[obj.surrogate])
         return merged
 
-    def type_population(self, resolved, include_subtypes: bool = True) -> int:
+    def type_population(self, resolved: Any,
+                        include_subtypes: bool = True) -> int:
         """Size of :meth:`objects_of_type` without materialising it."""
         if not include_subtypes:
             bucket = self._by_type.get(resolved)
@@ -473,7 +572,7 @@ class IndexManager:
             len(self._by_type[concrete]) for concrete in self._closure(resolved)
         )
 
-    def concrete_types_of(self, resolved) -> List[Any]:
+    def concrete_types_of(self, resolved: Any) -> List[Any]:
         """Concrete types with live instances conforming to ``resolved``."""
         return [
             concrete for concrete in self._closure(resolved)
@@ -505,7 +604,7 @@ class IndexManager:
         return index
 
     def ensure_value_index(self, source_kind: str, source_name: str,
-                           source_type, attr: str) -> ValueIndex:
+                           source_type: Any, attr: str) -> ValueIndex:
         index = self.value_index(source_kind, source_name, attr)
         if index is not None:
             return index
@@ -533,7 +632,7 @@ class IndexManager:
         return index
 
     def usable_value_index(self, source_kind: str, source_name: str,
-                           source_type, attr: str,
+                           source_type: Any, attr: str,
                            source_size: int) -> Optional[ValueIndex]:
         """The value index the planner may use, building lazily.
 
@@ -567,12 +666,12 @@ class IndexManager:
     # -- event-driven value maintenance (the maintainer tier) ------------------
 
     @staticmethod
-    def _with_inheritors(obj) -> List[Any]:
+    def _with_inheritors(obj: Any) -> List[Any]:
         """``obj`` plus its transitive inheritors (they read through it)."""
         if not obj._links_as_transmitter:
             return [obj]
         targets: List[Any] = []
-        seen = set()
+        seen: Set[int] = set()
         stack = [obj]
         while stack:
             node = stack.pop()
@@ -584,37 +683,40 @@ class IndexManager:
                 stack.append(link.inheritor)
         return targets
 
-    def _on_attribute_event(self, event) -> None:
+    def _on_attribute_event(self, event: Any) -> None:
         indexes = self._by_attr.get(event.data.get("attribute"))
         if not indexes:
             return
-        for target in self._with_inheritors(event.subject):
-            for index in indexes:
-                if index.refresh_if_tracked(target):
-                    self._bump("index.maintenance")
-                    self._audit(
-                        "index.maintenance",
-                        target,
-                        attribute=index.attr,
-                        index=f"{index.source_kind}:{index.source_name}"
-                        f".{index.attr}",
-                        reason=event.kind,
-                    )
+        subject = event.subject
+        for index in indexes:
+            # The subject is the holder of at most one group per index:
+            # one move, whatever the number of inheritors reading it.
+            if index.refresh_holder(subject):
+                self._maintained(index, subject, event.kind)
+            pinned = index._pinned
+            if pinned:
+                for target in self._with_inheritors(subject):
+                    entry = pinned.get(target.surrogate)
+                    if entry is not None and not target._deleted:
+                        index._refresh_group(entry.group)
+                        self._maintained(index, target, event.kind)
 
-    def _on_binding_event(self, event) -> None:
+    def _on_binding_event(self, event: Any) -> None:
         if not self._value_indexes:
             return
         # A topology change can re-route any inherited member below the
-        # subject; refresh the subtree in every index.  Binds are rare.
+        # subject: regroup the subtree in every index.  Binds are rare.
         for target in self._with_inheritors(event.subject):
             for index in self._value_indexes.values():
                 if index.refresh_if_tracked(target):
-                    self._bump("index.maintenance")
-                    self._audit(
-                        "index.maintenance",
-                        target,
-                        attribute=index.attr,
-                        index=f"{index.source_kind}:{index.source_name}"
-                        f".{index.attr}",
-                        reason=event.kind,
-                    )
+                    self._maintained(index, target, event.kind)
+
+    def _maintained(self, index: ValueIndex, subject: Any, reason: str) -> None:
+        self._bump("index.maintenance")
+        self._audit(
+            "index.maintenance",
+            subject,
+            attribute=index.attr,
+            index=f"{index.source_kind}:{index.source_name}.{index.attr}",
+            reason=reason,
+        )

@@ -7,32 +7,31 @@ relationally.  This module materializes that construct over the engine's
 type extents:
 
 * :class:`TypeView` — one **flattened table per concrete type**: one row
-  per live object of the type, one contiguous column per *inherited*
-  member (``MemberEntry.rels`` non-empty).  Stored members need no view
-  column — they already live in the type's
-  :class:`~repro.core.slots.TypeStore` slots, and the generated view scan
-  reads both side by side.  View columns are **aligned with the store**:
-  a cell lives at the object's own storage row (``obj._row``), so the
-  scan addresses it with the row index it already loaded for stored
-  slots — no per-object hash lookup on the hot path.  A cell holds
-  exactly what a bare-name read would see: ``get_member`` through the
-  transmitter chain, with the unresolved-as-literal label convention.
+  per live object of the type, one *pointer column* per inherited member
+  (``MemberEntry.rels`` non-empty).  Stored members need no view column —
+  they already live in the type's :class:`~repro.core.slots.TypeStore`
+  slots, and the generated view scan reads both side by side.  View rows
+  are **aligned with the store** (a row lives at the object's own
+  storage row, ``obj._row``).  A cell is not a copy of the inherited
+  value but Litwin's *link to the source relation*: the holder store's
+  column list (a reference) and the holder's row — the columnar form of
+  ``get_member``'s holder memo.  The scan gathers ``src[row][hrow[row]]``,
+  so it reads exactly what a bare-name read sees, live.
 
 * :class:`ViewManager` — attached as ``Database.views``; builds views
-  lazily when the planner routes to them and maintains them
-  **incrementally** off the same event stream and epochs the
-  :class:`~repro.query.indexes.IndexManager` validates against, on the
-  bus's maintainer tier (joined at the first view build; it runs after
-  index maintenance and before any user subscriber):
+  lazily when the planner routes to them and moves pointers off the same
+  event stream and epochs the :class:`~repro.query.indexes.IndexManager`
+  validates against, on the bus's maintainer tier (joined at the first
+  view build; it runs after index maintenance and before any user
+  subscriber).  **Transmitter writes touch no view**: the pointed-at
+  cell changes in place.  Pointers move only when resolution does:
 
-  - ``attribute_updated`` / ``attribute_restored`` (the raw-restore path:
-    txn abort, version revert, merge apply) re-extract the named column
-    for the subject *and its transitive inheritors*;
-  - ``inheritor_bound`` / ``inheritor_unbound`` re-extract the whole row
-    of everything in the subject's downstream subtree;
-  - ``subobject_added``/``…_removed`` and ``relationship_created``/
-    ``…_removed`` re-extract inherited *container* cells the same way;
-  - adopt/forget hooks add and drop rows synchronously;
+  - ``inheritor_bound`` / ``inheritor_unbound`` repoint the whole row of
+    everything in the subject's downstream subtree;
+  - adopt/forget hooks add and drop rows synchronously, and a forgotten
+    holder taints the rows still pointing at it;
+  - a restore that empties a pointed-at holder cell (``UNSET``) moves
+    its rows to live cells, which read the holder entry's default;
   - a **schema-epoch bump** invalidates the view as a whole; the next
     routing rebuilds it lazily (the ``query.view.staleness`` counter and
     each view's ``staleness`` attribute count these rebuilds).
@@ -42,12 +41,18 @@ type extents:
   view-covered inherited member.  The predicate compiles (once per view
   generation) through :class:`_ViewCodegen`, a
   :class:`~repro.expr.compile._Codegen` subclass that emits inherited
-  reads as ``column[vrow]`` against the view columns instead of the
+  reads as pointer gathers against the view columns instead of the
   per-object member-protocol closure.  EXPLAIN shows ``view`` as the
   access path; ``run_query(..., views=False)`` keeps the live path as
   the differential oracle.
 
-Error parity: a cell that fails to extract for any reason other than the
+Rows a pointer cannot express — a chain through a relationship
+participant (no memoised holder), an overflow-stored name, an empty
+holder cell — hold a *live cell* that resolves through ``get_member`` on
+each gather; a name that resolves to its own label literal holds that
+literal.
+
+Error parity: a cell that fails to resolve for any reason other than the
 label convention **taints** its row, and a tainted view refuses to serve
 scans — the live path then reproduces the exact error.  Likewise the
 generated scan bails out (``None``) on heterogeneous candidates or a raw
@@ -60,6 +65,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import resolution as _resolution
+from ..core.slots import UNSET
 from ..errors import UnknownAttributeError
 from ..expr.ast import Binary, Name, Node, Path, Unary
 from ..expr.compile import _Codegen
@@ -82,6 +88,9 @@ _ELIGIBLE_KINDS = ("attribute", "inherited")
 
 _with_inheritors = IndexManager._with_inheritors
 
+#: "Not computed since pointers last moved" (see TypeView.shared_source).
+_UNKNOWN: Any = object()
+
 
 def view_eligible_names(plan: Any) -> List[str]:
     """The members of ``plan`` a per-type view can materialize."""
@@ -92,18 +101,28 @@ def view_eligible_names(plan: Any) -> List[str]:
     ]
 
 
-def _extract_cell(obj: Any, name: str) -> Any:
-    """What a bare-name read of ``name`` on ``obj`` evaluates to.
+class _LiveCell:
+    """A cell a pointer cannot express: each gather resolves it live.
 
-    Mirrors the compiled member fallback (and ``Name.evaluate`` with the
-    default ``unresolved_as_literal``): unresolvable names evaluate as
-    their own spelling — the paper's unquoted enum-label convention.
-    Any *other* exception propagates; the caller taints the row.
+    Indexable like a one-element column (the view's row index into it is
+    0).  A resolution error other than the label convention surfaces as
+    ``IndexError``, which makes the generated scan bail to the live path —
+    and the live path raises the real error.
     """
-    try:
-        return obj.get_member(name)
-    except (KeyError, UnknownAttributeError):
-        return name
+
+    __slots__ = ("obj", "name")
+
+    def __init__(self, obj: Any, name: str) -> None:
+        self.obj = obj
+        self.name = name
+
+    def __getitem__(self, _row: int) -> Any:
+        try:
+            return self.obj.get_member(self.name)
+        except (KeyError, UnknownAttributeError):
+            return self.name
+        except Exception as exc:  # noqa: BLE001 — bail, live path re-raises
+            raise IndexError(self.name) from exc
 
 
 class _ViewProgram:
@@ -133,14 +152,21 @@ class _ViewCodegen(_Codegen):
         self.used: List[str] = []
 
     def _emit_name(self, identifier: str) -> Tuple[str, bool, bool]:
-        col = self.view.col_of.get(identifier)
+        view = self.view
+        col = view.col_of.get(identifier)
         if col is not None:
             participants = getattr(self.type, "participants", None)
             if not (participants and identifier in participants):
                 if identifier not in self.used:
                     self.used.append(identifier)
-                column = self._const("v", self.view.columns[col])
-                return f"{column}[row]", False, False
+                hrow = self._const("h", view.hrow[col])
+                shared = view.shared_source(col)
+                if shared is not None:
+                    # Every row points into one holder column: skip the
+                    # per-row source load.
+                    return f"{self._const('c', shared)}[{hrow}[row]]", False, False
+                src = self._const("s", view.src[col])
+                return f"{src}[row][{hrow}[row]]", False, False
         return super()._emit_name(identifier)
 
 
@@ -152,9 +178,11 @@ def _build_view_scan(node: Node, view: "TypeView", obs: Any = None) -> _ViewProg
     bail to ``None`` on a foreign type, a naked ``TypeError``, or an
     ``IndexError`` from a row the view never grew to — the caller then
     re-runs on the live path, which reproduces interpreter semantics
-    (and errors) exactly.  View cells are addressed by ``obj._row``,
-    the same index the stored-slot reads use: a live object's storage
-    row is stable for its lifetime, so no surrogate lookup is needed.
+    (and errors) exactly.  View rows are addressed by ``obj._row``, the
+    same index the stored-slot reads use: a live object's storage row is
+    stable for its lifetime, so no surrogate lookup is needed.  Each
+    inherited read gathers through the row's pointer,
+    ``src[row][hrow[row]]``.
     """
     gen = _ViewCodegen(view, obs)
     gen.fast_cmp = True
@@ -197,11 +225,15 @@ class TypeView:
         "schema_epoch",
         "names",
         "col_of",
-        "columns",
+        "src",
+        "hrow",
         "row_of",
         "tainted",
         "staleness",
         "_programs",
+        "_labels",
+        "_shared",
+        "_held",
     )
 
     def __init__(self, type_: Any, names: List[str], staleness: int = 0) -> None:
@@ -211,21 +243,23 @@ class TypeView:
         self.schema_epoch = _resolution.schema_epoch()
         self.names = list(names)
         self.col_of: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
-        #: Store-aligned columns: cell ``columns[c][obj._row]``.  The list
-        #: objects are identity-stable for the view's lifetime — compiled
-        #: scans close over them — and grow on demand to cover the highest
-        #: storage row seen.  Row recycling is the store's business: when
-        #: the :class:`~repro.core.slots.TypeStore` hands a freed row to a
-        #: new object, :meth:`add` simply overwrites the cells in place.
-        self.columns: List[List[Any]] = [[] for _ in self.names]
+        #: Pointer columns, store-aligned: the cell of ``obj`` in column
+        #: ``c`` is ``src[c][obj._row][hrow[c][obj._row]]`` — the holder
+        #: store's column list (a reference, not a copy) and the holder's
+        #: row.  The lists are identity-stable for the view's lifetime
+        #: (compiled scans close over them) and grow on demand to cover
+        #: the highest storage row seen; a recycled row is simply
+        #: repointed by :meth:`add`.
+        self.src: List[List[Any]] = [[] for _ in self.names]
+        self.hrow: List[List[int]] = [[] for _ in self.names]
         #: surrogate -> storage row at adoption time.  Not on the scan
         #: path (the scan reads ``obj._row`` directly); kept because at
-        #: forget time the object's ``_row`` is already spilled to -1 and
-        #: removal needs to know which cells to clear.
+        #: forget time the object's ``_row`` is already spilled to -1.
         self.row_of: Dict[Any, int] = {}
-        #: Surrogates whose last extraction raised something other than
-        #: the label convention; a tainted view refuses to serve scans so
-        #: the live path can reproduce the error.
+        #: Surrogates whose last resolution raised something other than
+        #: the label convention (or whose holder was forgotten); a tainted
+        #: view refuses to serve scans so the live path can reproduce the
+        #: error.
         self.tainted: Set[Any] = set()
         #: Epoch rebuilds this view's type has seen (carried across
         #: rebuilds by the manager; surfaced per query.view.staleness).
@@ -233,6 +267,15 @@ class TypeView:
         #: id(where-node) -> (node, program); dies with the view, so a
         #: rebuild can never serve a scan bound to dead columns.
         self._programs: Dict[int, Tuple[Node, _ViewProgram]] = {}
+        #: Per column, the one-element list a label-literal row points at.
+        self._labels: List[List[Any]] = [[name] for name in self.names]
+        #: Per column, the source list every row points into (None: rows
+        #: differ), as last computed for the compiled programs; _UNKNOWN
+        #: once a pointer write may have changed the answer.
+        self._shared: List[Any] = [_UNKNOWN] * len(self.names)
+        #: (id(holder column), holder row) -> {row surrogate: row object}:
+        #: the rows with a direct pointer into each holder cell.
+        self._held: Dict[Tuple[int, int], Dict[Any, Any]] = {}
 
     def __len__(self) -> int:
         return len(self.row_of)
@@ -243,16 +286,73 @@ class TypeView:
             f"cols={len(self.names)} rows={len(self.row_of)}>"
         )
 
-    # -- row maintenance -----------------------------------------------------
+    # -- pointers ------------------------------------------------------------
+
+    def _pointer(self, obj: Any, col: int, name: str) -> Tuple[Any, int, bool]:
+        """``(source, row, direct)`` for one cell; ``direct`` says the cell
+        points into a holder store (not at a literal or a live cell).
+
+        Resolves ``name`` once (raising for the taint rule) and reads the
+        holder off the memo ``get_member`` just refreshed.
+        """
+        try:
+            obj.get_member(name)
+            label = False
+        except (KeyError, UnknownAttributeError):
+            label = True
+        memo = obj._member_memo.get(name)
+        if (memo is not None and memo[0] == _resolution.schema_epoch()
+                and memo[1] == obj._binding_epoch):
+            holder = memo[2]
+            if label:
+                # Constant within the epoch unless a dynamic attribute
+                # can appear on the holder later.
+                if not getattr(holder.object_type, "allow_dynamic", False):
+                    return self._labels[col], 0, False
+            else:
+                column = memo[5]
+                if column is not None:
+                    row = holder._row
+                    if column[row] is not UNSET:
+                        return column, row, True
+        return _LiveCell(obj, name), 0, False
+
+    def _unhold(self, surrogate: Any, row: int) -> None:
+        """Forget the direct pointers ``row`` holds for ``surrogate``."""
+        for col, src in enumerate(self.src):
+            source = src[row]
+            if type(source) is list and source is not self._labels[col]:
+                key = (id(source), self.hrow[col][row])
+                rows = self._held.get(key)
+                if rows is not None:
+                    rows.pop(surrogate, None)
+                    if not rows:
+                        del self._held[key]
+
+    def _held_key(self, holder: Any, name: str) -> Tuple[int, int]:
+        store = holder._store
+        slot = store.slot_of.get(name)
+        column = store.columns[slot] if slot is not None else None
+        return id(column), holder._row
 
     def _fill_row(self, obj: Any, row: int) -> None:
         san = TSAN
         if san is not None:
             san.write(("view", id(self)), label=f"view:{self.type.name}")
         surrogate = obj.surrogate
+        self._unhold(surrogate, row)
         try:
-            for name, column in zip(self.names, self.columns):
-                column[row] = _extract_cell(obj, name)
+            for col, name in enumerate(self.names):
+                source, hrow, direct = self._pointer(obj, col, name)
+                shared = self._shared[col]
+                if source is not shared and shared is not _UNKNOWN:
+                    if shared is not None:  # programs gather from it
+                        self._programs.clear()
+                    self._shared[col] = _UNKNOWN
+                self.src[col][row] = source
+                self.hrow[col][row] = hrow
+                if direct:
+                    self._held.setdefault((id(source), hrow), {})[surrogate] = obj
         except Exception:  # noqa: BLE001 — parity: live path must raise this
             self.tainted.add(surrogate)
         else:
@@ -262,46 +362,75 @@ class TypeView:
         row = obj._row
         if row < 0:  # spilled: the object is on its way out
             return
-        if self.columns and row >= len(self.columns[0]):
-            grow = row + 1 - len(self.columns[0])
-            for column in self.columns:
+        if self.src and row >= len(self.src[0]):
+            grow = row + 1 - len(self.src[0])
+            for column in self.src:
                 column.extend([None] * grow)
+            for column in self.hrow:
+                column.extend([0] * grow)
         self.row_of[obj.surrogate] = row
         self._fill_row(obj, row)
 
     def remove(self, obj: Any) -> None:
+        """Drop ``obj``'s row.  Its pointers stay in place, unread, until
+        the store recycles the row and :meth:`add` repoints it."""
         san = TSAN
         if san is not None:
             san.write(("view", id(self)), label=f"view:{self.type.name}")
         row = self.row_of.pop(obj.surrogate, None)
         self.tainted.discard(obj.surrogate)
-        if row is None:
-            return
-        for column in self.columns:
-            column[row] = None
+        if row is not None:
+            self._unhold(obj.surrogate, row)
 
-    def refresh_member(self, obj: Any, name: str) -> bool:
-        """Re-extract one cell; True when this view tracked the object."""
-        col = self.col_of.get(name)
-        row = self.row_of.get(obj.surrogate)
-        if col is None or row is None:
-            return False
-        san = TSAN
-        if san is not None:
-            san.write(("view", id(self)), label=f"view:{self.type.name}")
-        try:
-            self.columns[col][row] = _extract_cell(obj, name)
-        except Exception:  # noqa: BLE001 — see _fill_row
-            self.tainted.add(obj.surrogate)
-        return True
+    def forget_holder(self, holder: Any) -> None:
+        """``holder`` is leaving the database: rows still pointing into
+        its store row (about to be recycled) are tainted until repointed."""
+        for name in self.names:
+            rows = self._held.get(self._held_key(holder, name))
+            if rows:
+                san = TSAN
+                if san is not None:
+                    san.write(("view", id(self)), label=f"view:{self.type.name}")
+                self.tainted.update(s for s in rows if s != holder.surrogate)
+
+    def rows_held_by(self, holder: Any, name: str) -> List[Any]:
+        """The row objects pointing straight at ``holder``'s ``name`` cell."""
+        return list(self._held.get(self._held_key(holder, name), {}).values())
 
     def refresh_object(self, obj: Any) -> bool:
-        """Re-extract a whole row (topology changed under the object)."""
+        """Repoint a whole row (resolution moved under the object)."""
         row = self.row_of.get(obj.surrogate)
         if row is None:
             return False
         self._fill_row(obj, row)
         return True
+
+    def cell(self, obj: Any, name: str) -> Any:
+        """The value ``obj``'s row gathers for ``name`` (diagnostics)."""
+        col = self.col_of[name]
+        row = self.row_of[obj.surrogate]
+        return self.src[col][row][self.hrow[col][row]]
+
+    def shared_source(self, col: int) -> Any:
+        """The source list every live row of ``col`` points into, or None.
+
+        Programs compiled from the answer gather from it directly; the
+        first pointer write that breaks it discards them (see
+        :meth:`_fill_row`).  Recomputed only after pointers moved.
+        """
+        shared = self._shared[col]
+        if shared is _UNKNOWN:
+            src = self.src[col]
+            shared = None
+            for row in self.row_of.values():
+                source = src[row]
+                if shared is None:
+                    shared = source
+                elif source is not shared:
+                    shared = None
+                    break
+            self._shared[col] = shared
+        return shared
 
     # -- compiled scans --------------------------------------------------------
 
@@ -500,47 +629,40 @@ class ViewManager:
         view = self._views.get(obj.object_type)
         if view is not None:
             view.remove(obj)
+        for view in self._views.values():
+            view.forget_holder(obj)
 
     # -- event-driven maintenance (the maintainer tier) ------------------------
 
-    def _refresh_member_event(self, event: Any, name: str) -> None:
-        epoch = _resolution.schema_epoch()
-        for target in _with_inheritors(event.subject):
-            view = self._views.get(target.object_type)
-            if view is None or view.schema_epoch != epoch:
-                continue
-            if target._deleted:
-                view.remove(target)
-                continue
-            if view.refresh_member(target, name):
-                self._bump("query.view.refreshes")
-                self._audit(
-                    "view.maintenance", target, attribute=name,
-                    view=view.type.name, reason=event.kind,
-                )
-
     def _on_attribute_event(self, event: Any) -> None:
-        if not self._views:
+        # A write changes a holder cell in place and every row pointing at
+        # it reads the new value: transmitter writes move no pointer.  Only
+        # a restore can empty a cell, and an empty (UNSET) cell must read
+        # through the holder's default, which a live cell does.
+        if event.kind != "attribute_restored" or not self._views:
             return
+        subject = event.subject
         name = event.data.get("attribute")
-        if name is not None:
-            self._refresh_member_event(event, name)
+        if name is None or subject._local_value(name, UNSET) is not UNSET:
+            return
+        epoch = _resolution.schema_epoch()
+        for view in list(self._views.values()):
+            if view.schema_epoch != epoch or name not in view.col_of:
+                continue
+            for target in view.rows_held_by(subject, name):
+                if view.refresh_object(target):
+                    self._refreshed(view, target, event.kind)
 
     def _on_container_event(self, event: Any) -> None:
-        if not self._views:
-            return
-        # Local containers emit with the member name under "subclass"
-        # (subobjects) or "subrel" (local relationships); top-level
-        # relationship events carry neither and touch no view cell.
-        name = event.data.get("subclass") or event.data.get("subrel")
-        if name is not None:
-            self._refresh_member_event(event, name)
+        # Container-valued members resolve through live cells (a pointer
+        # needs a stored holder slot), so container changes move nothing.
+        return
 
     def _on_binding_event(self, event: Any) -> None:
         if not self._views:
             return
         # A topology change can re-route every inherited member below the
-        # subject: re-extract whole rows for the downstream subtree.
+        # subject: repoint whole rows for the downstream subtree.
         epoch = _resolution.schema_epoch()
         for target in _with_inheritors(event.subject):
             view = self._views.get(target.object_type)
@@ -550,8 +672,9 @@ class ViewManager:
                 view.remove(target)
                 continue
             if view.refresh_object(target):
-                self._bump("query.view.refreshes")
-                self._audit(
-                    "view.maintenance", target, view=view.type.name,
-                    reason=event.kind,
-                )
+                self._refreshed(view, target, event.kind)
+
+    def _refreshed(self, view: TypeView, target: Any, reason: str) -> None:
+        self._bump("query.view.refreshes")
+        self._audit("view.maintenance", target, view=view.type.name,
+                    reason=reason)

@@ -1,6 +1,10 @@
 """Tests for adaptation tracking and triggers (repro.consistency)."""
 
+from typing import Any, Dict, List, Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.composition import add_component
 from repro.consistency import (
@@ -10,6 +14,7 @@ from repro.consistency import (
 )
 from repro.ddl.paper import load_gate_schema
 from repro.engine import Database
+from repro.core.objects import InheritanceLink
 from repro.errors import ReproError
 
 
@@ -212,3 +217,195 @@ class TestSemiAutomaticCorrection:
         iface.set_attribute("Length", 50)
         pending = tracker.pending(impl)
         assert len(pending) == 1 and pending[0].member == "Length"
+
+    def test_declined_record_is_not_offered_again(self, db):
+        tracker = AdaptationTracker(db)
+        registry = TriggerRegistry(db)
+        offered = []
+
+        def corrector(record):
+            offered.append((record.member, record.new))
+            return False  # nothing is auto-adaptable
+
+        auto_adapt_trigger(registry, tracker, corrector)
+        iface, impl = make_pair(db)
+        other = db.create_object("GateInterface", Length=1, Width=1)
+        db.create_object("GateImplementation", transmitter=other)
+        iface.set_attribute("Length", 50)
+        assert offered == [("Length", 50)]
+        other.set_attribute("Width", 7)  # an unrelated update
+        assert offered == [("Length", 50), ("Width", 7)]
+        # The declined record stays on the manual worklist.
+        assert [r.member for r in tracker.pending(impl)] == ["Length"]
+
+
+# ---------------------------------------------------------------------------
+# differential: the log-based tracker against the eager one it replaced
+# ---------------------------------------------------------------------------
+
+
+class EagerRecord:
+    def __init__(self, link, member, kind, old, new, seq):
+        self.link, self.member, self.kind = link, member, kind
+        self.old, self.new, self.seq = old, new, seq
+        self.acknowledged = False
+
+
+class EagerTracker:
+    """The previous tracker, kept verbatim as the oracle: one record per
+    affected link, appended at write time."""
+
+    def __init__(self, database):
+        self._records: Dict[Any, List[EagerRecord]] = {}
+        self._seq = 0
+        bus = database.events
+        bus.subscribe("attribute_updated", self._on_attribute_updated)
+        bus.subscribe("subobject_added", self._on_subobject_changed)
+        bus.subscribe("subobject_removed", self._on_subobject_changed)
+
+    def _on_attribute_updated(self, event):
+        self._mark(event.subject, event.attribute, "attribute_updated",
+                   old=event.old, new=event.new)
+
+    def _on_subobject_changed(self, event):
+        self._mark(event.subject, event.subclass, event.kind, new=event.member)
+
+    def _mark(self, subject, member, kind, old=None, new=None):
+        current: Optional[Any] = subject
+        visible_member = member
+        while current is not None:
+            for link in current.inheritor_links:
+                if link.rel_type.is_permeable(visible_member):
+                    self._seq += 1
+                    self._records.setdefault(link.surrogate, []).append(
+                        EagerRecord(link, visible_member, kind, old, new, self._seq))
+            parent = current.parent
+            if parent is None:
+                break
+            container = current._container
+            if container is None:
+                break
+            visible_member = container.name
+            kind = "subobject_updated"
+            current = parent
+
+    def pending(self, target):
+        if isinstance(target, InheritanceLink):
+            links = [target]
+        else:
+            links = list(target.inheritance_links)
+        found = []
+        for link in links:
+            found.extend(r for r in self._records.get(link.surrogate, [])
+                         if not r.acknowledged)
+        found.sort(key=lambda record: record.seq)
+        return found
+
+    def all_pending(self):
+        found = [r for records in self._records.values() for r in records
+                 if not r.acknowledged]
+        found.sort(key=lambda record: record.seq)
+        return found
+
+    def inheritors_needing_adaptation(self):
+        seen: Dict[Any, Any] = {}
+        for record in self.all_pending():
+            seen.setdefault(record.link.inheritor.surrogate, record.link.inheritor)
+        return list(seen.values())
+
+    def acknowledge(self, target, up_to_seq=None):
+        count = 0
+        for record in self.pending(target):
+            if up_to_seq is not None and record.seq > up_to_seq:
+                continue
+            record.acknowledged = True
+            count += 1
+        return count
+
+
+def _shape(records):
+    """Records compared by link, member, kind, old, new and seq *order*."""
+    return [(r.link.surrogate, r.member, r.kind, r.old, r.new) for r in records]
+
+
+tracker_action = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 2), st.sampled_from(["Length", "Width"]),
+              st.integers(1, 9)),
+    st.tuples(st.just("ack"), st.integers(0, 5), st.one_of(st.none(), st.integers(0, 4))),
+    st.tuples(st.just("ack_link"), st.integers(0, 5)),
+    st.tuples(st.just("ack_record"), st.integers(0, 5), st.integers(0, 4)),
+    st.tuples(st.just("rebind"), st.integers(0, 5), st.integers(0, 2)),
+    st.tuples(st.just("add_pin"), st.integers(0, 2)),
+    st.tuples(st.just("move_pin"), st.integers(0, 2), st.integers(0, 9)),
+    st.tuples(st.just("drop_pin"), st.integers(0, 2)),
+    st.tuples(st.just("delete_impl"), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions=st.lists(tracker_action, min_size=1, max_size=16))
+def test_tracker_matches_eager_oracle(actions):
+    db = Database("adaptation-oracle")
+    load_gate_schema(db.catalog)
+    ifaces = [db.create_object("GateInterface", Length=i, Width=i) for i in range(3)]
+    early = db.create_object("GateImplementation", transmitter=ifaces[0])
+    tracker = AdaptationTracker(db)  # attached after one link exists
+    oracle = EagerTracker(db)
+    impls = [early] + [
+        db.create_object("GateImplementation", transmitter=ifaces[i % 3])
+        for i in range(5)
+    ]
+    links_seen = list({link for impl in impls for link in impl.inheritance_links})
+
+    def check():
+        for impl in impls:
+            assert _shape(tracker.pending(impl)) == _shape(oracle.pending(impl))
+        for link in links_seen:
+            assert _shape(tracker.pending(link)) == _shape(oracle.pending(link))
+        assert _shape(tracker.all_pending()) == _shape(oracle.all_pending())
+        assert [o.surrogate for o in tracker.inheritors_needing_adaptation()] == [
+            o.surrogate for o in oracle.inheritors_needing_adaptation()]
+
+    for step in actions:
+        kind = step[0]
+        if kind == "write":
+            ifaces[step[1]].set_attribute(step[2], step[3])
+        elif kind == "ack":
+            impl = impls[step[1]]
+            mine, theirs = tracker.pending(impl), oracle.pending(impl)
+            if step[2] is None or step[2] >= len(mine):
+                assert tracker.acknowledge(impl) == oracle.acknowledge(impl)
+            else:
+                assert tracker.acknowledge(impl, mine[step[2]].seq) == (
+                    oracle.acknowledge(impl, theirs[step[2]].seq))
+        elif kind == "ack_link":
+            link = links_seen[step[1] % len(links_seen)]
+            assert tracker.acknowledge(link) == oracle.acknowledge(link)
+        elif kind == "ack_record":
+            mine = tracker.pending(impls[step[1]])
+            theirs = oracle.pending(impls[step[1]])
+            if step[2] < len(mine):
+                mine[step[2]].acknowledged = True
+                theirs[step[2]].acknowledged = True
+                assert mine[step[2]].acknowledged
+        elif kind == "rebind":
+            impl = impls[step[1]]
+            if impl.deleted:
+                continue
+            for link in impl.inheritance_links:
+                link.unbind()
+            db.bind(impl, ifaces[step[2]], db.catalog.inheritance_type("AllOf_GateInterface"))
+            links_seen.extend(impl.inheritance_links)
+        elif kind == "add_pin":
+            ifaces[step[1]].subclass("Pins").create(InOut="IN")
+        elif kind == "move_pin":
+            pins = ifaces[step[1]].subclass("Pins").members()
+            if pins:
+                pins[0].set_attribute("PinLocation", (step[2], 0))
+        elif kind == "drop_pin":
+            pins = ifaces[step[1]].subclass("Pins").members()
+            if pins:
+                ifaces[step[1]].subclass("Pins").remove(pins[-1])
+        elif kind == "delete_impl":
+            impls[step[1]].delete()
+        check()

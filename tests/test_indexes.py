@@ -73,28 +73,44 @@ def assert_type_index_agrees(db, type_):
 
 ALPHA_VALUES = (0, 1, 2, 3, "x", "y")
 BETA_VALUES = (0, 1, 2, 3, 4, 5)
+GAMMA_VALUES = (5, 6, 7)
 
 
 def _make_world():
-    """Base/Sub types (Sub conforms via inheritor-in), one class, one db."""
+    """Base/Mid/Sub types, one class, one db.
+
+    Sub inherits alpha and gamma from Base directly or, through Mid, two
+    hops up.  gamma has a declared default (7), so a Base without a gamma
+    value makes every reader see the default through an UNSET holder cell.
+    """
     base = ObjectType(
         _uname("Base"),
-        attributes={"alpha": ANY, "beta": AttributeSpec("beta", ANY, default=0)},
+        attributes={
+            "alpha": ANY,
+            "beta": AttributeSpec("beta", ANY, default=0),
+            "gamma": AttributeSpec("gamma", ANY, default=7),
+        },
     )
     rel = InheritanceRelationshipType(
-        _uname("AllOfBase"), transmitter_type=base, inheriting=["alpha"]
+        _uname("AllOfBase"), transmitter_type=base, inheriting=["alpha", "gamma"]
+    )
+    mid = ObjectType(_uname("Mid"))
+    mid.declare_inheritor_in(rel)
+    rel_mid = InheritanceRelationshipType(
+        _uname("AllOfMid"), transmitter_type=mid, inheriting=["alpha", "gamma"]
     )
     sub = ObjectType(_uname("Sub"))
     sub.declare_inheritor_in(rel)
+    sub.declare_inheritor_in(rel_mid)
     db = Database(_uname("db"))
     db.indexes.min_index_source = 0
-    db.catalog.register(base)
-    db.catalog.register(sub)
+    for type_ in (base, mid, sub):
+        db.catalog.register(type_)
     db.create_class("Things", base)
-    return db, base, sub, rel
+    return db, base, mid, sub, rel, rel_mid
 
 
-def _battery(db, base, sub):
+def _battery(db, base, mid, sub):
     queries = [
         "select * from Things where alpha = 2",
         "select * from Things where alpha = 'x'",
@@ -102,28 +118,39 @@ def _battery(db, base, sub):
         "select * from Things where alpha = 1 and beta >= 1",
         "select distinct alpha from Things",
         "select alpha from Things where beta <= 3 order by beta desc limit 2",
+        "select * from Things where gamma = 7",
         f"select * from {base.name} where alpha = 3",
         f"select * from {sub.name} where alpha = 0",
+        f"select * from {sub.name} where gamma = 7",
+        f"select * from {sub.name} where gamma > 5",
+        f"select * from {mid.name} where alpha = 1",
     ]
     for text in queries:
         assert_queries_agree(db, text)
-    assert_type_index_agrees(db, base)
-    assert_type_index_agrees(db, sub)
+    for type_ in (base, mid, sub):
+        assert_type_index_agrees(db, type_)
 
 
 action = st.one_of(
     st.tuples(st.just("create_base"), st.sampled_from(ALPHA_VALUES),
               st.sampled_from(BETA_VALUES)),
     st.tuples(st.just("create_sub"), st.sampled_from(ALPHA_VALUES)),
+    st.tuples(st.just("create_mid"), st.integers(0, 20)),
     st.tuples(st.just("set_alpha"), st.integers(0, 20),
               st.sampled_from(ALPHA_VALUES)),
     st.tuples(st.just("set_beta"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
+    st.tuples(st.just("set_gamma"), st.integers(0, 20),
+              st.sampled_from(GAMMA_VALUES)),
     st.tuples(st.just("bind"), st.integers(0, 20), st.integers(0, 20)),
+    st.tuples(st.just("bind_via_mid"), st.integers(0, 20), st.integers(0, 20)),
     st.tuples(st.just("unbind"), st.integers(0, 20)),
     st.tuples(st.just("delete"), st.integers(0, 20)),
+    st.tuples(st.just("delete_strict"), st.integers(0, 20)),
     st.tuples(st.just("txn_abort"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
+    st.tuples(st.just("txn_gamma"), st.integers(0, 20),
+              st.sampled_from(GAMMA_VALUES)),
     st.tuples(st.just("revert"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
     st.tuples(st.just("declare_rebind"), st.integers(0, 20), st.integers(0, 20)),
@@ -133,7 +160,7 @@ action = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=12))
 def test_planner_matches_full_scan_oracle(actions):
-    db, base, sub, rel = _make_world()
+    db, base, mid, sub, rel, rel_mid = _make_world()
     txns = TransactionManager(db)
     guard = StateGuard(db)
     objs = []
@@ -143,7 +170,7 @@ def test_planner_matches_full_scan_oracle(actions):
         )
     # Prime the value indexes now so the script below exercises the
     # incremental maintenance path, not a fresh build at query time.
-    _battery(db, base, sub)
+    _battery(db, base, mid, sub)
 
     def pick(i):
         return objs[i % len(objs)] if objs else None
@@ -163,27 +190,49 @@ def test_planner_matches_full_scan_oracle(actions):
                 obj = db.create_object(sub, class_name="Things")
                 obj.set_attribute("alpha", step[1])
                 objs.append(obj)
+            elif kind == "create_mid":
+                obj = db.create_object(mid, class_name="Things")
+                objs.append(obj)
+                transmitter = pick(step[1])
+                if transmitter.object_type is base:
+                    db.bind(obj, transmitter, rel)
             elif kind == "set_alpha":
                 pick(step[1]).set_attribute("alpha", step[2])
             elif kind == "set_beta":
                 pick(step[1]).set_attribute("beta", step[2])
+            elif kind == "set_gamma":
+                pick(step[1]).set_attribute("gamma", step[2])
             elif kind == "bind":
                 inheritor, transmitter = pick(step[1]), pick(step[2])
                 if inheritor.object_type is sub and transmitter.object_type is base:
                     db.bind(inheritor, transmitter, rel)
+            elif kind == "bind_via_mid":
+                inheritor, transmitter = pick(step[1]), pick(step[2])
+                if inheritor.object_type is sub and transmitter.object_type is mid:
+                    db.bind(inheritor, transmitter, rel_mid)
             elif kind == "unbind":
                 obj = pick(step[1])
-                link = obj.link_for(rel)
-                if link is not None:
+                for link in obj.inheritance_links:
                     link.unbind()
             elif kind == "delete":
                 obj = pick(step[1])
                 obj.delete(unbind_inheritors=True)
                 objs = [o for o in objs if not o.deleted]
+            elif kind == "delete_strict":
+                # Refused while the object transmits to anyone.
+                pick(step[1]).delete()
+                objs = [o for o in objs if not o.deleted]
             elif kind == "txn_abort":
                 obj = pick(step[1])
                 txn = txns.begin()
                 txn.set(obj, "beta", step[2])
+                txn.abort()
+            elif kind == "txn_gamma":
+                # The abort restores the prior cell — UNSET when gamma was
+                # never set, so readers fall back to the default again.
+                obj = pick(step[1])
+                txn = txns.begin()
+                txn.set(obj, "gamma", step[2])
                 txn.abort()
             elif kind == "revert":
                 obj = pick(step[1])
@@ -209,8 +258,9 @@ def test_planner_matches_full_scan_oracle(actions):
         # One cheap agreement probe per step catches staleness at the
         # moment it appears, not only at the end.
         assert_queries_agree(db, "select * from Things where alpha = 1")
+        assert_queries_agree(db, "select * from Things where gamma = 7")
 
-    _battery(db, base, sub)
+    _battery(db, base, mid, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +399,36 @@ def test_inherited_values_are_indexable():
     result = run_query(db, "select * from Impl where Length = 20")
     assert len(result.rows) == 2
     assert_queries_agree(db, "select * from Impl where Length = 20")
+
+
+def test_relationship_transmitter_entries_are_pinned_and_follow_writes():
+    """A chain through a relationship object is not memoised by
+    ``get_member``, so its entries have no known holder: they stay pinned
+    to themselves and the downstream walk re-extracts them."""
+    db = Database(_uname("conn"))
+    db.indexes.min_index_source = 0
+    node = db.catalog.define_object_type("NodeP", attributes={"N": ANY})
+    conn = db.catalog.define_relationship_type(
+        "ConnP", {"A": node, "B": node}, attributes={"Rate": ANY}
+    )
+    all_of = db.catalog.define_inheritance_type("AllOfConnP", conn, ["Rate"])
+    user = db.catalog.define_object_type("UserP")
+    user.declare_inheritor_in(all_of)
+    ends = [db.create_object(node, N=i) for i in range(2)]
+    links = [
+        db.create_relationship(conn, {"A": ends[0], "B": ends[1]}, Rate=rate)
+        for rate in (1, 2)
+    ]
+    users = [db.create_object(user, transmitter=links[i % 2]) for i in range(6)]
+    result = run_query(db, "select * from UserP where Rate = 1")
+    assert result.plan.access_path == "index-eq"
+    assert len(result) == 3
+    index = db.indexes.value_index("type", user.name, "Rate")
+    assert set(index._pinned) == {u.surrogate for u in users}
+    links[1].set_attribute("Rate", 1)
+    assert len(run_query(db, "select * from UserP where Rate = 1")) == 6
+    assert_queries_agree(db, "select * from UserP where Rate = 1")
+    assert_queries_agree(db, "select * from UserP where Rate = 2")
 
 
 def test_schema_change_drops_and_rebuilds_indexes(parts_db):

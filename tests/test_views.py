@@ -24,7 +24,8 @@ from repro.core.domains import ANY
 from repro.core.inheritance import InheritanceRelationshipType
 from repro.core.objtype import ObjectType
 from repro.engine.database import Database
-from repro.errors import ReproError, VersionError
+from repro.core.resolution import naive_get_member, schema_epoch
+from repro.errors import ReproError, UnknownAttributeError, VersionError
 from repro.query import run_query
 from repro.txn.transactions import TransactionManager
 from repro.versions.states import StateGuard
@@ -65,36 +66,75 @@ def assert_view_queries_agree(db, text):
 
 ALPHA_VALUES = (0, 1, 2, 3)
 BETA_VALUES = (0, 1, 2, 3, 4, 5)
+GAMMA_VALUES = (5, 6, 7)
 
 
 def _make_world():
-    """Base/Sub types (Sub inherits alpha), one class, one view-only db."""
+    """Base/Mid/Sub types, one class, one view-only db.
+
+    Sub inherits alpha and gamma from Base directly or, through Mid, two
+    hops up.  gamma has a declared default (7): a Base without a gamma
+    value makes readers gather the default through an UNSET holder cell.
+    """
     base = ObjectType(
         _uname("Base"),
-        attributes={"alpha": ANY, "beta": AttributeSpec("beta", ANY, default=0)},
+        attributes={
+            "alpha": ANY,
+            "beta": AttributeSpec("beta", ANY, default=0),
+            "gamma": AttributeSpec("gamma", ANY, default=7),
+        },
     )
     rel = InheritanceRelationshipType(
-        _uname("AllOfBase"), transmitter_type=base, inheriting=["alpha"]
+        _uname("AllOfBase"), transmitter_type=base, inheriting=["alpha", "gamma"]
+    )
+    mid = ObjectType(_uname("Mid"))
+    mid.declare_inheritor_in(rel)
+    rel_mid = InheritanceRelationshipType(
+        _uname("AllOfMid"), transmitter_type=mid, inheriting=["alpha", "gamma"]
     )
     sub = ObjectType(_uname("Sub"))
     sub.declare_inheritor_in(rel)
+    sub.declare_inheritor_in(rel_mid)
     db = Database(_uname("db"))
     db.indexes.auto = False  # isolate the view path from index routing
     db.views.min_view_source = 0
-    db.catalog.register(base)
-    db.catalog.register(sub)
+    for type_ in (base, mid, sub):
+        db.catalog.register(type_)
     db.create_class("Things", base)
-    return db, base, sub, rel
+    return db, base, mid, sub, rel, rel_mid
 
 
-def _battery(db, base, sub):
+def assert_view_cells_match(db, objs):
+    """Every gathered cell equals the interpretive oracle (label
+    convention included), unless the row is tainted for error parity."""
+    for obj in objs:
+        if obj.deleted:
+            continue
+        view = db.views._views.get(obj.object_type)
+        if view is None or view.schema_epoch != schema_epoch():
+            continue
+        for name in view.names:
+            try:
+                expected = naive_get_member(obj, name)
+            except UnknownAttributeError:
+                expected = name
+            except ReproError:
+                assert obj.surrogate in view.tainted
+                continue
+            assert view.cell(obj, name) == expected, (obj, name)
+
+
+def _battery(db, base, mid, sub):
     for text in (
         "select * from Things where alpha = 2",
         "select alpha, beta from Things where beta > 2",
         "select * from Things where alpha = 1 and beta >= 1",
+        "select * from Things where gamma = 7",
         f"select * from {base.name} where alpha = 3",
         f"select * from {sub.name} where alpha = 0",
         f"select * from {sub.name} where alpha > 1",
+        f"select * from {sub.name} where gamma + 1 = 8",
+        f"select * from {mid.name} where alpha + gamma > 8",
     ):
         assert_view_queries_agree(db, text)
 
@@ -103,15 +143,22 @@ action = st.one_of(
     st.tuples(st.just("create_base"), st.sampled_from(ALPHA_VALUES),
               st.sampled_from(BETA_VALUES)),
     st.tuples(st.just("create_sub"), st.integers(0, 20)),
+    st.tuples(st.just("create_mid"), st.integers(0, 20)),
     st.tuples(st.just("set_alpha"), st.integers(0, 20),
               st.sampled_from(ALPHA_VALUES)),
     st.tuples(st.just("set_beta"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
+    st.tuples(st.just("set_gamma"), st.integers(0, 20),
+              st.sampled_from(GAMMA_VALUES)),
     st.tuples(st.just("bind"), st.integers(0, 20), st.integers(0, 20)),
+    st.tuples(st.just("bind_via_mid"), st.integers(0, 20), st.integers(0, 20)),
     st.tuples(st.just("unbind"), st.integers(0, 20)),
     st.tuples(st.just("delete"), st.integers(0, 20)),
+    st.tuples(st.just("delete_strict"), st.integers(0, 20)),
     st.tuples(st.just("txn_abort"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
+    st.tuples(st.just("txn_gamma"), st.integers(0, 20),
+              st.sampled_from(GAMMA_VALUES)),
     st.tuples(st.just("revert"), st.integers(0, 20),
               st.sampled_from(BETA_VALUES)),
     st.tuples(st.just("declare_rebind"), st.integers(0, 20), st.integers(0, 20)),
@@ -121,7 +168,7 @@ action = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(actions=st.lists(action, min_size=1, max_size=12))
 def test_views_match_live_resolution_oracle(actions):
-    db, base, sub, rel = _make_world()
+    db, base, mid, sub, rel, rel_mid = _make_world()
     txns = TransactionManager(db)
     guard = StateGuard(db)
     objs = []
@@ -131,14 +178,14 @@ def test_views_match_live_resolution_oracle(actions):
         )
     # Prime the views now so the script below exercises the incremental
     # maintenance path, not a fresh build at query time.
-    _battery(db, base, sub)
+    _battery(db, base, mid, sub)
 
     def pick(i):
         return objs[i % len(objs)] if objs else None
 
     for step in actions:
         kind = step[0]
-        if kind not in ("create_base", "create_sub") and pick(0) is None:
+        if kind not in ("create_base", "create_sub", "create_mid") and pick(0) is None:
             continue
         try:
             if kind == "create_base":
@@ -147,9 +194,11 @@ def test_views_match_live_resolution_oracle(actions):
                         base, class_name="Things", alpha=step[1], beta=step[2]
                     )
                 )
-            elif kind == "create_sub":
+            elif kind in ("create_sub", "create_mid"):
                 transmitter = pick(step[1])
-                obj = db.create_object(sub, class_name="Things")
+                obj = db.create_object(
+                    sub if kind == "create_sub" else mid, class_name="Things"
+                )
                 if transmitter is not None and transmitter.object_type is base:
                     db.bind(obj, transmitter, rel)
                 objs.append(obj)
@@ -157,23 +206,38 @@ def test_views_match_live_resolution_oracle(actions):
                 pick(step[1]).set_attribute("alpha", step[2])
             elif kind == "set_beta":
                 pick(step[1]).set_attribute("beta", step[2])
+            elif kind == "set_gamma":
+                pick(step[1]).set_attribute("gamma", step[2])
             elif kind == "bind":
                 inheritor, transmitter = pick(step[1]), pick(step[2])
                 if inheritor.object_type is sub and transmitter.object_type is base:
                     db.bind(inheritor, transmitter, rel)
+            elif kind == "bind_via_mid":
+                inheritor, transmitter = pick(step[1]), pick(step[2])
+                if inheritor.object_type is sub and transmitter.object_type is mid:
+                    db.bind(inheritor, transmitter, rel_mid)
             elif kind == "unbind":
                 obj = pick(step[1])
-                link = obj.link_for(rel)
-                if link is not None:
+                for link in obj.inheritance_links:
                     link.unbind()
             elif kind == "delete":
                 obj = pick(step[1])
                 obj.delete(unbind_inheritors=True)
                 objs = [o for o in objs if not o.deleted]
+            elif kind == "delete_strict":
+                # Refused while the object transmits to anyone.
+                pick(step[1]).delete()
+                objs = [o for o in objs if not o.deleted]
             elif kind == "txn_abort":
                 obj = pick(step[1])
                 txn = txns.begin()
                 txn.set(obj, "beta", step[2])
+                txn.abort()
+            elif kind == "txn_gamma":
+                # Restores the prior cell: UNSET when gamma was never set.
+                obj = pick(step[1])
+                txn = txns.begin()
+                txn.set(obj, "gamma", step[2])
                 txn.abort()
             elif kind == "revert":
                 obj = pick(step[1])
@@ -198,8 +262,11 @@ def test_views_match_live_resolution_oracle(actions):
         # One agreement probe per step catches staleness at the moment it
         # appears, not only at the end.
         assert_view_queries_agree(db, f"select * from {sub.name} where alpha = 1")
+        assert_view_queries_agree(db, f"select * from {sub.name} where gamma = 7")
+        assert_view_cells_match(db, objs)
 
-    _battery(db, base, sub)
+    _battery(db, base, mid, sub)
+    assert_view_cells_match(db, objs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +358,102 @@ def test_deleted_row_recycling_keeps_view_consistent():
 
 
 def test_view_columns_stay_aligned_with_store_rows():
-    """Cells live at ``obj._row``: deletion clears them in place, and a
-    store-recycled row is overwritten for its new occupant — the columns
-    never grow while the store reuses rows."""
+    """Rows live at ``obj._row``: deletion drops them, and a store-recycled
+    row is repointed for its new occupant — the pointer columns never grow
+    while the store reuses rows."""
     db, interfaces, impls = _iface_world()
     run_query(db, "select * from Impl where Length > 0")
     view = db.views.view_for(db.catalog.type("Impl"))
-    rows_before = len(view.columns[0])
+    rows_before = len(view.src[0])
     freed = [obj._row for obj in impls[:5]]
     for obj in impls[:5]:
         obj.delete()
-    for row in freed:
-        assert all(column[row] is None for column in view.columns)
+        assert obj.surrogate not in view.row_of
     recreated = [
         db.create_object(db.catalog.type("Impl"), transmitter=interfaces[i])
         for i in range(5)
     ]
     assert {o._row for o in recreated} == set(freed)  # store reused rows
-    for obj in recreated:
+    for i, obj in enumerate(recreated):
         assert view.row_of[obj.surrogate] == obj._row
-        assert view.columns[view.col_of["Length"]][obj._row] is not None
-    assert len(view.columns[0]) == rows_before  # no growth: rows reused
+        assert view.cell(obj, "Length") == i
+    assert len(view.src[0]) == rows_before  # no growth: rows reused
     assert_view_queries_agree(db, "select * from Impl where Length > 0")
+
+
+def test_view_cells_point_at_the_holder_not_a_copy():
+    """A cell is the holder store's column plus the holder's row: a
+    transmitter write moves no pointer and the next gather reads it."""
+    db, interfaces, impls = _iface_world()
+    run_query(db, "select * from Impl where Length > 0")
+    view = db.views.view_for(db.catalog.type("Impl"))
+    col, row = view.col_of["Length"], impls[4]._row
+    column = interfaces[4]._store.columns[interfaces[4]._store.slot_of["Length"]]
+    assert view.src[col][row] is column
+    assert view.hrow[col][row] == interfaces[4]._row
+    refreshes = db.views.stats["query.view.refreshes"]
+    interfaces[4].set_attribute("Length", 77)
+    assert db.views.stats["query.view.refreshes"] == refreshes
+    assert view.cell(impls[4], "Length") == 77
+    assert_view_queries_agree(db, "select * from Impl where Length = 77")
+
+
+def test_compiled_scan_follows_a_row_repointed_off_the_shared_column():
+    """While every row points into one holder column the scan gathers from
+    it directly; a row repointed elsewhere (here: unbound, so it reads
+    its own empty cell) must retire that program."""
+    db, interfaces, impls = _iface_world()
+    text = "select * from Impl where Length = 0"
+    assert_view_queries_agree(db, text)
+    view = db.views.view_for(db.catalog.type("Impl"))
+    assert view.shared_source(view.col_of["Length"]) is not None
+    impls[5].inheritance_links[0].unbind()
+    assert view.cell(impls[5], "Length") is impls[5].get_member("Length") is None
+    assert run_query(db, text).plan.access_path == "view"
+    assert_view_queries_agree(db, text)
+
+
+def test_forgotten_holder_taints_rows_still_pointing_at_it():
+    """Deleting a link object directly emits no unbind event, so the row
+    keeps pointing at the old transmitter; once that holder is deleted
+    too, its store row is recycled and the row must be refused."""
+    db, interfaces, impls = _iface_world()
+    text = "select * from Impl where Length = 6"
+    assert_view_queries_agree(db, text)
+    view = db.views.view_for(db.catalog.type("Impl"))
+    impls[6].inheritance_links[0].delete()
+    interfaces[6].delete()
+    assert impls[6].surrogate in view.tainted
+    assert run_query(db, text).plan.access_path == "full-scan"
+    assert_view_queries_agree(db, text)
+
+
+def test_restore_that_empties_a_holder_cell_repoints_to_the_default():
+    """A row bound while its holder's cell is set points straight at the
+    cell; an abort that restores the cell to UNSET must leave the row
+    reading the declared default, exactly like the live path."""
+    db = Database(_uname("unset"))
+    db.indexes.auto = False
+    db.views.min_view_source = 0
+    iface = db.catalog.define_object_type(
+        "IfaceU", attributes={"Length": AttributeSpec("Length", ANY, default=3)}
+    )
+    all_of = db.catalog.define_inheritance_type("AllOfIfaceU", iface, ["Length"])
+    impl = db.catalog.define_object_type("ImplU")
+    impl.declare_inheritor_in(all_of)
+    holder = db.create_object(iface)
+    db.create_object(impl, transmitter=holder)
+    run_query(db, "select * from ImplU where Length = 3")  # builds the view
+    view = db.views.view_for(impl)
+    txn = TransactionManager(db).begin()
+    txn.set(holder, "Length", 9)
+    late = db.create_object(impl, transmitter=holder)
+    assert view.cell(late, "Length") == 9
+    txn.abort()
+    assert view.cell(late, "Length") == 3
+    for text in ("select * from ImplU where Length = 3",
+                 "select * from ImplU where Length = 9"):
+        assert_view_queries_agree(db, text)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +488,11 @@ def test_index_path_takes_precedence_over_view():
 def test_metrics_snapshot_exposes_view_counters():
     from repro.obs.report import snapshot
 
-    db, interfaces, _ = _iface_world()
+    db, interfaces, impls = _iface_world()
     db.enable_observability()
     run_query(db, "select * from Impl where Length > 5")
-    interfaces[0].set_attribute("Length", 50)
+    interfaces[0].set_attribute("Length", 50)  # moves no pointer
+    impls[1].inheritance_links[0].unbind()  # repoints one row
     gauges = snapshot(db, include_events=False)["gauges"]
     for key in ("query.view.hits", "query.view.misses",
                 "query.view.refreshes", "query.view.staleness",
@@ -455,9 +597,10 @@ def test_explain_value_reports_view_freshness():
     assert prov.views == ["type:Impl.Length (fresh)"]
     assert "materialized in: type:Impl.Length (fresh)" in prov.render()
     assert prov.as_dict()["views"] == ["type:Impl.Length (fresh)"]
-    # Forge a stale cell: raw column write, no event (the documented gap).
+    # Forge a stale cell: repoint it by hand, no event (the documented gap).
     view = db.views.view_for(db.catalog.type("Impl"))
-    view.columns[view.col_of["Length"]][view.row_of[impls[7].surrogate]] = -1
+    col, row = view.col_of["Length"], view.row_of[impls[7].surrogate]
+    view.src[col][row], view.hrow[col][row] = [-1], 0
     prov = db.explain_value(impls[7], "Length")
     assert prov.views == ["type:Impl.Length (stale)"]
 
