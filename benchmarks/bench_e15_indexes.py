@@ -2,7 +2,8 @@
 
 A parts library at 10k/50k objects, three access patterns:
 
-* selective equality (``Category`` holds ~1% of the extent per value);
+* selective equality (``Category`` holds ~1% of the extent per value),
+  through ``run_query`` and through ``Database.select`` with one text;
 * range + top-k (``Serial >= high-water order by Serial desc limit 10``);
 * the same queries forced through the full scan (``indexes.auto = False``)
   as the baseline the planner must beat;
@@ -79,6 +80,15 @@ class TestSelectiveEquality:
         assert result.plan.access_path == "full-scan"
 
 
+    @pytest.mark.parametrize("n", SIZES)
+    def test_select_eq_repeat(self, benchmark, n):
+        """``Database.select`` with one where text, repeated: the text
+        parses once and its program is reused (the executor's where stage)."""
+        db = parts_db(n)
+        result = benchmark(db.select, "Parts", "Category = 'cat_3'")
+        assert len(result) == 100
+
+
 class TestRangeTopK:
     @pytest.mark.parametrize("n", SIZES)
     def test_range_topk_indexed(self, benchmark, n):
@@ -135,6 +145,11 @@ def register(suite):
             db = parts_db(n)
             query = "select * from Parts where Category = 'cat_3'"
             return lambda: run_with(db, query, False)
+
+        @suite.case(f"select_eq_repeat[{n}]")
+        def select_eq_repeat_case(n=n):
+            db = parts_db(n)
+            return lambda: db.select("Parts", "Category = 'cat_3'")
 
         @suite.case(f"range_topk_indexed[{n}]")
         def range_indexed_case(n=n):

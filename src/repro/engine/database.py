@@ -284,49 +284,26 @@ class Database:
         """Select objects from a class (by name) or any iterable.
 
         ``where`` is either a constraint-language expression evaluated
-        against each object, or a Python predicate.  Class-name sources
-        with expression conditions are planned (sargable conjuncts may be
-        answered from a value index); the full condition is still applied
-        to every candidate.
+        against each object, or a Python predicate.  A class-name source
+        with an expression runs the query executor's where stage
+        (:func:`repro.query.executor.filter_source`): sargable conjuncts
+        may be answered from a value index, predicates over inherited
+        members may scan the type's view, and the full condition is still
+        applied to every candidate.
         """
         from .query import evaluate_predicate
 
         if isinstance(source, str):
             extent = self.class_(source)
-            if where is not None and isinstance(where, str):
-                from ..expr import EvalContext, parse_expression, truthy
-                from ..expr.compile import compile_predicate
-                from ..query.planner import class_source, plan_source
+            if isinstance(where, str):
+                from ..query.executor import select_where
 
-                node = parse_expression(where)
-                _, candidates = plan_source(
-                    self, class_source(self, extent), node, text=where
-                )
-                # One compiled slot program per concrete type; deleted
-                # candidates keep the interpretive walk (it owns the
-                # ObjectDeletedError protocol).
-                obs = getattr(self, "obs", None)
-                preds: Dict[int, Any] = {}
-                kept = []
-                for obj in candidates:
-                    if obj._row >= 0:
-                        predicate = preds.get(id(obj.object_type))
-                        if predicate is None:
-                            predicate = preds[id(obj.object_type)] = (
-                                compile_predicate(node, obj.object_type, obs)
-                            )
-                        if predicate(obj):
-                            kept.append(obj)
-                    elif truthy(node.evaluate(EvalContext(obj))):
-                        kept.append(obj)
-                return kept
-            candidates: Iterable[DBObject] = extent
-        else:
-            candidates = source
+                return select_where(self, extent, where)
+            source = extent
         if where is None:
-            return list(candidates)
+            return list(source)
         predicate = evaluate_predicate(where)
-        return [obj for obj in candidates if predicate(obj)]
+        return [obj for obj in source if predicate(obj)]
 
     def query(self, text: str):
         """Run a ``select … from … where …`` query (see :mod:`repro.query`)."""

@@ -19,7 +19,8 @@ from typing import Callable, Iterator, List, Union
 
 from ..core.objects import DBObject, InheritanceLink, RelationshipObject
 from ..errors import QueryError
-from ..expr import EvalContext, parse_expression, truthy
+from ..expr import EvalContext, truthy
+from ..expr.compile import compiled_for
 
 __all__ = [
     "evaluate_predicate",
@@ -35,18 +36,24 @@ Predicate = Callable[[DBObject], bool]
 
 
 def evaluate_predicate(where: Union[str, Predicate]) -> Predicate:
-    """Compile a where-condition into a Python predicate.
+    """Turn a where-condition into a Python predicate.
 
-    Strings are parsed once with :mod:`repro.expr`; evaluation errors
-    surface as :class:`~repro.errors.QueryError`.
+    Strings are parsed through the query parse LRU and run the compiled
+    program of each object's type; a deleted object (``_row < 0``) takes
+    the tree walk, which raises :class:`~repro.errors.ObjectDeletedError`.
+    Callables pass through unchanged.
     """
     if callable(where):
         return where
     if isinstance(where, str):
-        node = parse_expression(where)
+        from ..query.parser import parse_where
+
+        node = parse_where(where)
 
         def predicate(obj: DBObject) -> bool:
-            return truthy(node.evaluate(EvalContext(obj)))
+            if obj._row < 0:
+                return truthy(node.evaluate(EvalContext(obj)))
+            return compiled_for(node, obj.object_type).predicate(obj)
 
         return predicate
     raise QueryError(f"cannot interpret {where!r} as a selection condition")

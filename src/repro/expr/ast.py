@@ -49,6 +49,10 @@ def _equal(left: Any, right: Any) -> bool:
 class Node:
     """Base class of all expression nodes."""
 
+    #: Compiled programs of this node (see :func:`repro.expr.compile.compiled_for`);
+    #: kept on the node so they live exactly as long as the AST.
+    _programs: Any = None
+
     def evaluate(self, ctx: EvalContext) -> Any:
         raise NotImplementedError
 

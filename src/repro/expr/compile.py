@@ -30,10 +30,11 @@ Contract: compiled functions assume a *live* object of the compiled type
 exactly the shape of query predicates and type-anchored integrity
 constraints.  Binding-carrying evaluations keep using the interpreter.
 
-The cache is keyed by ``(id(node), id(type))`` (strong references retained)
-and validated against the schema epoch (``catalog.schema_epoch`` proxies
-the same counter): a DDL change drops every compiled program and the next
-use recompiles against the refreshed plan and store layout.
+Programs are kept on the node they were compiled from (one per type), so
+a program lives exactly as long as its AST, and validated against the
+schema epoch (``catalog.schema_epoch`` proxies the same counter): a DDL
+change retires them and the next use recompiles against the refreshed
+plan and store layout.
 
 :func:`compile_info` reports why an expression is not fully slot-compiled;
 the ``dynamic-name`` reason kind feeds the REP504 analyzer advisory.
@@ -41,6 +42,7 @@ the ``dynamic-name`` reason kind feeds the REP504 analyzer advisory.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core import resolution as _resolution
@@ -485,32 +487,29 @@ def _build(node: Node, type_: Any, obs: Any = None) -> CompiledExpr:
 
 
 # ---------------------------------------------------------------------------
-# The per-epoch program cache.
+# Program lifetime: the programs of a node live on the node.
 # ---------------------------------------------------------------------------
 
-_cache: Dict[Tuple[int, int], Tuple[Node, Any, CompiledExpr]] = {}
-_cache_epoch: int = -1
+
+#: The nodes holding programs, for the statistics; weak, so it never
+#: extends a node's (and thus a program's) lifetime.
+_holders: "weakref.WeakSet[Node]" = weakref.WeakSet()
 
 
 def compiled_for(node: Node, type_: Any, obs: Any = None) -> CompiledExpr:
     """The compiled program of ``node`` anchored at ``type_``.
 
-    Compiled once per schema epoch; a DDL change invalidates every cached
-    program (the epoch is the same counter ``catalog.schema_epoch``
-    exposes).  Strong references to the node and type are retained so the
-    identity key stays valid.
+    Kept on ``node`` as ``(schema epoch, {type: program})``: dropped with
+    the AST it was compiled from, and retired by a DDL change.
     """
-    global _cache_epoch
+    held = node._programs
     epoch = _resolution._SCHEMA_EPOCH
-    if epoch != _cache_epoch:
-        _cache.clear()
-        _cache_epoch = epoch
-    key = (id(node), id(type_))
-    hit = _cache.get(key)
-    if hit is not None and hit[0] is node and hit[1] is type_:
-        return hit[2]
-    compiled = _build(node, type_, obs)
-    _cache[key] = (node, type_, compiled)
+    if held is None or held[0] != epoch:
+        held = node._programs = (epoch, {})
+        _holders.add(node)
+    compiled = held[1].get(type_)
+    if compiled is None:
+        compiled = held[1][type_] = _build(node, type_, obs)
     return compiled
 
 
@@ -535,9 +534,13 @@ def compile_info(node: Node, type_: Any, obs: Any = None) -> CompileInfo:
 
 def invalidate_cache() -> None:
     """Drop every compiled program (tests and diagnostics)."""
-    _cache.clear()
+    for node in list(_holders):
+        node._programs = None
+    _holders.clear()
 
 
 def cache_stats() -> Dict[str, int]:
-    """Observable counters of the program cache."""
-    return {"expr.compiled": len(_cache), "expr.cache_epoch": _cache_epoch}
+    """``expr.compiled``: the programs kept (exact after ``gc.collect()``;
+    a program that closes over its own node dies in the cycle collector)."""
+    held = [node._programs for node in list(_holders)]
+    return {"expr.compiled": sum(len(h[1]) for h in held if h is not None)}

@@ -26,25 +26,18 @@ from ..core import resolution as _resolution
 from ..core.objects import DBObject
 from ..engine.database import Database
 from ..expr import MISSING, EvalContext, truthy
-from ..expr.compile import compile_expression, compile_predicate, compiled_for
-from .parser import QuerySpec, parse_query
-from .planner import QueryPlan, plan_source, resolve_source
+from ..expr.ast import Node
+from ..expr.compile import compiled_for
+from .parser import QuerySpec, parse_query, parse_where
+from .planner import QueryPlan, class_source, plan_source, resolve_source
 
-__all__ = ["QueryResult", "execute_query", "run_query"]
-
-#: When false, where/order/projection expressions evaluate with the
-#: tree-walking interpreter instead of compiled slot programs — the
-#: compiled engine's oracle mode, used by equivalence tests and the E19
-#: benchmark baseline.  Per-call override via ``execute_query(...,
-#: compiled=...)``.
-USE_COMPILED = True
-
-#: When false, full-scan predicates are never routed to materialized
-#: per-type views (:mod:`repro.query.views`) — the live-resolution path
-#: is the views engine's differential oracle, used by the equivalence
-#: tests and the E20 benchmark baseline.  Per-call override via
-#: ``execute_query(..., views=...)``.
-USE_VIEWS = True
+__all__ = [
+    "QueryResult",
+    "execute_query",
+    "filter_source",
+    "run_query",
+    "select_where",
+]
 
 
 @dataclass
@@ -96,8 +89,8 @@ def _sort_key(value: Any):
 def execute_query(
     db: Database,
     spec: QuerySpec,
-    compiled: Optional[bool] = None,
-    views: Optional[bool] = None,
+    compiled: bool = True,
+    views: bool = True,
 ) -> QueryResult:
     """Run a parsed query against a database."""
     obs = getattr(db, "obs", None)
@@ -161,25 +154,30 @@ def _distinct_rows(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     return unique
 
 
-def _execute(
+def filter_source(
     db: Database,
-    spec: QuerySpec,
-    obs,
-    compiled: Optional[bool] = None,
-    views: Optional[bool] = None,
-) -> QueryResult:
-    use_compiled = USE_COMPILED if compiled is None else compiled
-    use_views = USE_VIEWS if views is None else views
-    source = resolve_source(db, spec.source_name)
-    plan, candidates = plan_source(db, source, spec.where, text=spec.text)
+    source,
+    where: Optional[Node],
+    text: str = "",
+    obs=None,
+    compiled: bool = True,
+    views: bool = True,
+) -> Tuple[QueryPlan, List[DBObject]]:
+    """The where stage of every selection: plan, then filter the candidates.
 
-    matches: List[DBObject] = []
-    scanned = 0
-    where = spec.where
-    batched = False
-    if use_compiled and where is not None and candidates:
-        outcome = None
-        if use_views and plan.access_path == "full-scan":
+    :func:`plan_source` picks the access path; a full scan whose ``where``
+    reads inherited members goes to :meth:`ViewManager.try_scan`; otherwise
+    the compiled batch scan runs, and a mixed extent falls back to one
+    compiled predicate per concrete type.  ``compiled=False`` is the
+    tree-walking oracle, ``views=False`` the live-resolution oracle.
+    Returns the plan (its ``candidates`` set to the objects scanned) and
+    the matches in scan order.
+    """
+    plan, candidates = plan_source(db, source, where, text=text)
+
+    outcome = None
+    if compiled and where is not None and candidates:
+        if views and plan.access_path == "full-scan":
             # View routing: predicates over inherited members run against
             # the type's materialized view columns (plan shows "view").
             # Index paths keep precedence — sub-linear beats faster-scan.
@@ -189,61 +187,72 @@ def _execute(
             # predicate (CompiledExpr.scan), so the steady per-object cost
             # is one identity compare plus the inlined slot reads — no
             # closure call.  The scan bails out (None) on the first object
-            # of another type; mixed extents rerun below with per-type
-            # dispatch.
+            # of another type; mixed extents rerun below.
             outcome = compiled_for(where, candidates[0].object_type, obs).scan(
                 candidates
             )
-        if outcome is not None:
-            scanned, matches = outcome
-            batched = True
-    if batched:
-        pass
-    elif use_compiled:
-        # Per-type dispatch: one compiled slot program per concrete type,
-        # applied over runs of candidates (heterogeneous extents, or no
-        # where clause at all).
-        pred = None
-        pred_type = None
-        preds: dict = {}
-        for obj in candidates:
-            if obj.deleted:
-                continue
-            scanned += 1
-            if where is not None:
-                object_type = obj.object_type
-                if object_type is not pred_type:
-                    pred_type = object_type
-                    pred = preds.get(id(object_type))
-                    if pred is None:
-                        pred = preds[id(object_type)] = compile_predicate(
-                            where, object_type, obs
-                        )
-                if not pred(obj):
-                    continue
-            matches.append(obj)
+    if outcome is not None:
+        scanned, matches = outcome
     else:
-        # Oracle mode: the interpretive walk.  Resolve each candidate
-        # type's plan once up front (not per object): the where/order/
-        # projection evaluation then always hits valid plans.
-        warmed: set = set()
+        # Per-object dispatch, one predicate per run of a concrete type:
+        # heterogeneous extents, no where clause, or the tree-walk oracle.
+        scanned = 0
+        matches = []
+        pred_type = pred = None
         for obj in candidates:
             if obj.deleted:
                 continue
-            object_type = obj.object_type
-            if id(object_type) not in warmed:
-                warmed.add(id(object_type))
-                _resolution.plan_for(object_type, obs)
             scanned += 1
-            if where is not None:
-                if not truthy(where.evaluate(EvalContext(obj))):
-                    continue
-            matches.append(obj)
+            if obj.object_type is not pred_type:
+                pred_type = obj.object_type
+                pred = _predicate(where, pred_type, obs, compiled)
+            if pred is None or pred(obj):
+                matches.append(obj)
     plan.candidates = scanned
+    return plan, matches
 
+
+def _predicate(where: Optional[Node], type_, obs, compiled: bool):
+    """The per-object filter of ``where`` at ``type_`` (None: keep all)."""
+    if not compiled:
+        # Oracle mode: resolve the type's plan once up front (not per
+        # object), so the where/order/projection walks hit valid plans.
+        _resolution.plan_for(type_, obs)
+    if where is None:
+        return None
+    if compiled:
+        return compiled_for(where, type_, obs).predicate
+    return lambda obj: truthy(where.evaluate(EvalContext(obj)))
+
+
+def _expression(node: Node, type_, obs, compiled: bool):
+    """``fn(obj) -> value`` of ``node`` at ``type_``: compiled, or the walk."""
+    if compiled:
+        return compiled_for(node, type_, obs).expression
+    return lambda obj: node.evaluate(EvalContext(obj))
+
+
+def select_where(db: Database, extent, text: str) -> List[DBObject]:
+    """``Database.select(class_name, text)``: the where stage over a class."""
+    return filter_source(
+        db, class_source(db, extent), parse_where(text), text, db.obs
+    )[1]
+
+
+def _execute(
+    db: Database,
+    spec: QuerySpec,
+    obs,
+    compiled: bool = True,
+    views: bool = True,
+) -> QueryResult:
+    plan, matches = filter_source(
+        db, resolve_source(db, spec.source_name), spec.where, spec.text,
+        obs, compiled, views,
+    )
     if obs is not None:
         obs.metrics.counter("query.executed").inc()
-        obs.metrics.counter("query.rows_scanned").inc(scanned)
+        obs.metrics.counter("query.rows_scanned").inc(plan.candidates)
         obs.metrics.counter("query.rows_matched").inc(len(matches))
         if plan.access_path == "full-scan":
             obs.metrics.counter("query.plan.full_scan").inc()
@@ -254,19 +263,15 @@ def _execute(
 
     if spec.order_by is not None:
         order_node = spec.order_by
-        if use_compiled:
-            order_fns: dict = {}
+        order_fns: dict = {}
 
-            def order_key(obj: DBObject):
-                fn = order_fns.get(id(obj.object_type))
-                if fn is None:
-                    fn = order_fns[id(obj.object_type)] = compile_expression(
-                        order_node, obj.object_type, obs
-                    )
-                return _sort_key(fn(obj))
-        else:
-            def order_key(obj: DBObject):
-                return _sort_key(order_node.evaluate(EvalContext(obj)))
+        def order_key(obj: DBObject):
+            fn = order_fns.get(obj.object_type)
+            if fn is None:
+                fn = order_fns[obj.object_type] = _expression(
+                    order_node, obj.object_type, obs, compiled
+                )
+            return _sort_key(fn(obj))
 
         if spec.limit is not None and spec.limit < len(matches):
             # Bounded-heap top-k: nsmallest/nlargest are documented as
@@ -301,29 +306,17 @@ def _execute(
         return QueryResult(spec, ["*"], rows, matches, plan)
 
     rows = []
-    if use_compiled:
-        proj_fns: dict = {}
-        for obj in matches:
-            fns = proj_fns.get(id(obj.object_type))
-            if fns is None:
-                fns = proj_fns[id(obj.object_type)] = tuple(
-                    compile_expression(node, obj.object_type, obs)
-                    for _, node in spec.projection
-                )
-            rows.append(
-                tuple(
-                    None if (value := fn(obj)) is MISSING else value
-                    for fn in fns
-                )
-            )
-    else:
-        for obj in matches:
-            ctx = EvalContext(obj)
-            row = tuple(
-                None if (value := node.evaluate(ctx)) is MISSING else value
+    proj_fns: dict = {}
+    for obj in matches:
+        fns = proj_fns.get(obj.object_type)
+        if fns is None:
+            fns = proj_fns[obj.object_type] = tuple(
+                _expression(node, obj.object_type, obs, compiled)
                 for _, node in spec.projection
             )
-            rows.append(row)
+        rows.append(
+            tuple(None if (value := fn(obj)) is MISSING else value for fn in fns)
+        )
     if spec.distinct:
         rows = _distinct_rows(rows)
     plan.rows = len(rows)
@@ -334,8 +327,8 @@ def run_query(
     db: Database,
     text: str,
     explain: bool = False,
-    compiled: Optional[bool] = None,
-    views: Optional[bool] = None,
+    compiled: bool = True,
+    views: bool = True,
 ) -> QueryResult:
     """Parse and execute query text in one step.
 
@@ -346,12 +339,4 @@ def run_query(
     ``views=False`` keeps inherited-member predicates on the live
     resolution path (the materialized-view oracle).
     """
-    result = execute_query(db, parse_query(text), compiled, views)
-    if explain and result.plan is None:  # pragma: no cover - defensive
-        result.plan = QueryPlan(
-            source_name=result.spec.source_name,
-            source_kind="class",
-            source_size=len(result.rows),
-            text=text,
-        )
-    return result
+    return execute_query(db, parse_query(text), compiled, views)

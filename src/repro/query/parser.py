@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core import resolution as _resolution
 from ..errors import QueryError
@@ -34,7 +34,7 @@ from ..expr.ast import Node
 from ..expr.lexer import Token, tokenize
 from ..expr.parser import parse_expression
 
-__all__ = ["QuerySpec", "parse_query"]
+__all__ = ["QuerySpec", "parse_query", "parse_where"]
 
 
 @dataclass
@@ -228,22 +228,32 @@ class _QueryParser:
 
 
 @lru_cache(maxsize=256)
-def _parse_cached(source: str, schema_epoch: int) -> QuerySpec:
+def _parse_cached(grammar: str, source: str, schema_epoch: int) -> Any:
     # schema_epoch is not read — it is part of the cache key, so a DDL
     # change yields fresh AST nodes for the same text (see parse_query).
+    if grammar == "where":
+        return parse_expression(source)
     return _QueryParser(source).parse()
 
 
 def parse_query(source: str) -> QuerySpec:
     """Parse query text into a :class:`QuerySpec`.
 
-    Parses are memoised by ``(text, schema epoch)``: re-running a query
-    within one epoch shares one AST — node identity is what keys the
-    compiled-program and view-scan caches, making repeat executions hit
-    their compiled programs instead of recompiling — while any DDL change
-    (type definition, ``declare_inheritor_in``) keys a fresh parse, so no
-    downstream cache can serve a program compiled against the old schema
-    for textually identical query text.  Each call returns a fresh
-    (shallow) spec copy; the shared pieces are the immutable clause ASTs.
+    Parses are memoised by ``(text, schema epoch)`` in the one 256-entry
+    parse LRU, shared with :func:`parse_where`.  Compiled programs live
+    exactly as long as the AST they were compiled from, so a repeat
+    execution hits its programs, an evicted text takes them with it, and
+    this LRU is the only bound on how many are kept.  A DDL change keys
+    a fresh parse, so no program compiled against the old schema serves
+    the same text.  Each call returns a fresh (shallow) spec copy; the
+    shared pieces are the immutable clause ASTs.
     """
-    return replace(_parse_cached(source.strip(), _resolution.schema_epoch()))
+    return replace(
+        _parse_cached("query", source.strip(), _resolution.schema_epoch())
+    )
+
+
+def parse_where(source: str) -> Node:
+    """Parse a bare where condition (the constraint-expression grammar),
+    memoised in the :func:`parse_query` LRU under its own grammar key."""
+    return _parse_cached("where", source.strip(), _resolution.schema_epoch())

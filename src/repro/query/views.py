@@ -39,7 +39,7 @@ type extents:
 * **Planner routing** — :meth:`ViewManager.try_scan` is called by the
   executor for full-scan plans whose ``where`` touches at least one
   view-covered inherited member.  The predicate compiles (once per view
-  generation) through :class:`_ViewCodegen`, a
+  generation, kept while its AST lives) through :class:`_ViewCodegen`, a
   :class:`~repro.expr.compile._Codegen` subclass that emits inherited
   reads as pointer gathers against the view columns instead of the
   per-object member-protocol closure.  EXPLAIN shows ``view`` as the
@@ -62,6 +62,7 @@ comparison ``TypeError``, exactly like the slot-scan of
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import resolution as _resolution
@@ -230,6 +231,7 @@ class TypeView:
         "row_of",
         "tainted",
         "staleness",
+        "generation",
         "_programs",
         "_labels",
         "_shared",
@@ -264,9 +266,13 @@ class TypeView:
         #: Epoch rebuilds this view's type has seen (carried across
         #: rebuilds by the manager; surfaced per query.view.staleness).
         self.staleness = staleness
-        #: id(where-node) -> (node, program); dies with the view, so a
-        #: rebuild can never serve a scan bound to dead columns.
-        self._programs: Dict[int, Tuple[Node, _ViewProgram]] = {}
+        #: Bumped when a pointer write breaks a shared column that
+        #: programs gather from directly (see shared_source).
+        self.generation = 0
+        #: where-node -> (generation, program): weak-keyed, so a program
+        #: lives while its AST does (it never closes over its root node)
+        #: and dies with the view, never outliving the columns it reads.
+        self._programs: Any = weakref.WeakKeyDictionary()
         #: Per column, the one-element list a label-literal row points at.
         self._labels: List[List[Any]] = [[name] for name in self.names]
         #: Per column, the source list every row points into (None: rows
@@ -347,7 +353,7 @@ class TypeView:
                 shared = self._shared[col]
                 if source is not shared and shared is not _UNKNOWN:
                     if shared is not None:  # programs gather from it
-                        self._programs.clear()
+                        self.generation += 1
                     self._shared[col] = _UNKNOWN
                 self.src[col][row] = source
                 self.hrow[col][row] = hrow
@@ -415,8 +421,9 @@ class TypeView:
         """The source list every live row of ``col`` points into, or None.
 
         Programs compiled from the answer gather from it directly; the
-        first pointer write that breaks it discards them (see
-        :meth:`_fill_row`).  Recomputed only after pointers moved.
+        first pointer write that breaks it retires them by bumping
+        ``generation`` (see :meth:`_fill_row`).  Recomputed only after
+        pointers moved.
         """
         shared = self._shared[col]
         if shared is _UNKNOWN:
@@ -435,11 +442,11 @@ class TypeView:
     # -- compiled scans --------------------------------------------------------
 
     def program_for(self, node: Node, obs: Any = None) -> _ViewProgram:
-        hit = self._programs.get(id(node))
-        if hit is not None and hit[0] is node:
+        hit = self._programs.get(node)
+        if hit is not None and hit[0] == self.generation:
             return hit[1]
         program = _build_view_scan(node, self, obs)
-        self._programs[id(node)] = (node, program)
+        self._programs[node] = (self.generation, program)
         return program
 
 

@@ -56,7 +56,9 @@ class QuerySelection(SelectionPolicy):
     """Top-down selection (§6 policy 1).
 
     ``where`` is a constraint-language expression or Python predicate over
-    candidate versions ("the required properties of the component").
+    candidate versions ("the required properties of the component").  An
+    expression runs the compiled program of each candidate's type, the
+    same programs the query executor uses (see ``evaluate_predicate``).
     ``on_ties`` resolves multiple matches: ``"error"`` (default),
     ``"first"``, or ``"newest"`` (highest surrogate, i.e. latest created).
     """

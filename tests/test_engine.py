@@ -190,6 +190,97 @@ class TestSelect:
         with pytest.raises(QueryError):
             gate_db.select("Interfaces", 42)
 
+    @staticmethod
+    def populate(db):
+        """20 interfaces (above the index threshold) with 2–3 pins each,
+        20 implementations inheriting from them (above the view
+        threshold), four of them also filed in Interfaces: a mixed-type
+        extent."""
+        ifaces = []
+        for i in range(20):
+            iface = db.create_object(
+                "GateInterface", class_name="Interfaces", Length=i % 5, Width=i % 3
+            )
+            add_pins(iface, n_in=2, n_out=i % 2)
+            ifaces.append(iface)
+        impls = [
+            db.create_object(
+                "GateImplementation", class_name="Implementations", transmitter=iface
+            )
+            for iface in ifaces
+        ]
+        for impl in impls[:4]:
+            db.add_to_class(impl, "Interfaces")
+        return ifaces, impls
+
+    @pytest.mark.parametrize(
+        "class_name, where, counter",
+        [
+            ("Implementations", "Length = 3", "index.hits"),
+            ("Implementations", "Length >= 3", "index.hits"),
+            ("Interfaces", "Length = 2", "index.hits"),
+            ("Implementations", "Length + Width > 4", "query.view.hits"),
+            ("Interfaces", "Length * 2 > Width", None),
+            ("Interfaces", "count(Pins) = 3", None),
+            ("Implementations", "count(Pins) = 3", None),
+            ("Implementations", "count(Pins) = 3 and Length < 4", "index.hits"),
+        ],
+        ids=["index-eq", "index-range", "index-eq-mixed", "view-inherited",
+             "mixed-extent", "aggregate", "aggregate-inherited",
+             "aggregate-residual"],
+    )
+    def test_select_matches_tree_walk(self, gate_db, class_name, where, counter):
+        from repro.expr import EvalContext, parse_expression, truthy
+
+        self.populate(gate_db)
+        node = parse_expression(where)
+        walked = [
+            obj for obj in gate_db.class_(class_name)
+            if truthy(node.evaluate(EvalContext(obj)))
+        ]
+        assert walked  # every case selects something
+        before = {**gate_db.indexes.stats, **gate_db.views.stats}
+        assert gate_db.select(class_name, where) == walked
+        after = {**gate_db.indexes.stats, **gate_db.views.stats}
+        moved = {key for key in ("index.hits", "query.view.hits")
+                 if after[key] != before[key]}
+        assert moved == ({counter} if counter else set())
+
+    @pytest.mark.parametrize(
+        "where", ["Length >= 3", "Length * 2 > Width or count(Pins) = 2",
+                  "Nope = Nope", "Length"],
+    )
+    def test_select_from_iterable_matches_tree_walk(self, gate_db, where):
+        from repro.expr import EvalContext, parse_expression, truthy
+
+        ifaces, impls = self.populate(gate_db)
+        pin = list(ifaces[1].subclass("Pins"))[0]
+        mixed = impls[::3] + ifaces[::2] + [pin]
+        node = parse_expression(where)
+
+        def outcome(select):
+            try:
+                return "rows", select()
+            except Exception as exc:  # noqa: BLE001 — errors must match too
+                return "error", type(exc), str(exc)
+
+        # With the pin (most texts raise on it) and without (rows).
+        for objs in (mixed, mixed[:-1]):
+            walked = outcome(lambda: [
+                obj for obj in objs if truthy(node.evaluate(EvalContext(obj)))
+            ])
+            assert outcome(lambda: gate_db.select(objs, where)) == walked
+
+    def test_select_from_iterable_with_deleted_object_raises(self, gate_db):
+        from repro.errors import ObjectDeletedError
+
+        live = gate_db.create_object("GateInterface", Length=1, Width=1)
+        gone = gate_db.create_object("GateInterface", Length=2, Width=1)
+        gone.delete()
+        assert gate_db.select([live], "Length > 0") == [live]
+        with pytest.raises(ObjectDeletedError):
+            gate_db.select([live, gone], "Length > 0")
+
 
 class TestNavigation:
     def test_walk_tree(self, gate_db):

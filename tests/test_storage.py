@@ -17,6 +17,8 @@ Hypothesis drives randomized schemas, values and mutation scripts at both
 oracles; the deterministic classes pin the epoch-bump migration rules.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,6 +282,54 @@ class TestCompiledMatchesInterpreter:
         before = cache_stats()["expr.compiled"]
         run_query(db, "select * from Parts where A = 5")
         assert cache_stats()["expr.compiled"] == before
+
+    def test_repeated_select_text_compiles_once(self, oracle_db, monkeypatch):
+        from repro.expr import compile as compile_module
+
+        db, obj = oracle_db
+        builds = []
+        build = compile_module._build
+        monkeypatch.setattr(
+            compile_module, "_build", lambda *args: builds.append(args) or build(*args)
+        )
+        assert db.select("Parts", "A = 6 or B = 7") == []
+        builds.clear()
+        db.select("Parts", "A = 6 or B = 7")
+        assert builds == []  # one parse, one program: both reused
+
+
+class TestProgramLifetime:
+    """Compiled programs live exactly as long as their parsed AST, so the
+    parse LRU is the only bound on how many are kept."""
+
+    def test_programs_die_with_their_ast(self):
+        db = fresh_db()
+        node = parse_expression("A > 1 and B < 2")
+        compiled_for(node, db.catalog.type("Part"))
+        gc.collect()
+        kept = cache_stats()["expr.compiled"]
+        del node
+        gc.collect()
+        assert cache_stats()["expr.compiled"] == kept - 1
+
+    def test_repeated_select_keeps_a_bounded_number_of_programs(self):
+        db = fresh_db()
+        for i in range(20):
+            db.create_object("Part", class_name="Parts", A=i)
+        gc.collect()
+        before = cache_stats()["expr.compiled"]
+        for _ in range(2000):
+            assert len(db.select("Parts", "A = 5")) == 1
+        gc.collect()
+        assert cache_stats()["expr.compiled"] - before <= 1
+
+    def test_invalidate_cache_drops_every_program(self):
+        db = fresh_db()
+        node = parse_expression("A = 1")
+        first = compiled_for(node, db.catalog.type("Part"))
+        invalidate_cache()
+        assert cache_stats()["expr.compiled"] == 0
+        assert compiled_for(node, db.catalog.type("Part")) is not first
 
 
 # ---------------------------------------------------------------------------

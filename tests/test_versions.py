@@ -228,6 +228,30 @@ class TestGenericRelationships:
         assert link.transmitter is v_big
         assert slot_obj["Length"] == 50
 
+    @pytest.mark.parametrize(
+        "where",
+        ["Length > 10", "Length = 5 or Width > 6", "count(Pins) = 3 and Length < 40",
+         "Nope = Nope", "Length > 100"],
+    )
+    def test_query_selection_matches_tree_walk(self, db, guard, where):
+        from repro.expr import EvalContext, parse_expression, truthy
+
+        graph = VersionGraph(name="interfaces", guard=guard)
+        for length in (5, 12, 30, 50):
+            graph.add_version(make_interface(db, length=length))
+        slot_obj, rel = self.make_slot(db)
+        generic = GenericRelationship(slot_obj, rel, graph)
+        candidates = generic.candidates()
+        node = parse_expression(where)
+        walked = [c for c in candidates if truthy(node.evaluate(EvalContext(c)))]
+        policy = QuerySelection(where, on_ties="first")
+        assert [c for c in candidates if policy.predicate(c)] == walked
+        if walked:
+            assert policy.choose(generic, candidates) is walked[0]
+        else:
+            with pytest.raises(SelectionError):
+                policy.choose(generic, candidates)
+
     def test_query_selection_no_match(self, db, guard):
         graph = VersionGraph(name="interfaces")
         graph.add_version(make_interface(db, length=5))

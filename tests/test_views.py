@@ -666,3 +666,34 @@ def test_parse_cache_shares_nodes_within_an_epoch():
     ObjectType(_uname("EpochBump"))
     third = parse_query("select * from X where alpha = 5")
     assert third.where is not first.where
+
+
+def test_view_programs_are_bounded_by_the_parse_lru():
+    """A view program is weakly keyed by its where-node: once the parse
+    LRU (256 texts) evicts a text, its program goes with the AST."""
+    import gc
+
+    db, interfaces, impls = _iface_world()
+    for i in range(1000):
+        result = run_query(db, f"select * from Impl where Length + {i} > 5")
+        assert result.plan.access_path == "view"
+    gc.collect()
+    view = db.views.view_for(impls[0].object_type)
+    assert 0 < len(view._programs) <= 256
+
+
+def test_shared_column_break_retires_programs_by_generation():
+    """The shared-column break retires compiled view programs by bumping
+    the view's generation; unrelated programs are not dropped by hand."""
+    db, interfaces, impls = _iface_world()
+    text = "select * from Impl where Length + 0 = 3"
+    assert_view_queries_agree(db, text)
+    view = db.views.view_for(impls[0].object_type)
+    node = run_query(db, text).spec.where
+    program = view.program_for(node)
+    assert view.program_for(node) is program
+    generation = view.generation
+    impls[5].inheritance_links[0].unbind()  # repoints off the shared column
+    assert view.generation == generation + 1
+    assert view.program_for(node) is not program
+    assert_view_queries_agree(db, text)
