@@ -83,6 +83,22 @@ class TestExpansionLocking:
         locked = benchmark(run)
         assert locked > 2 ** depth
 
+    def test_lock_expansion_design_size(self, benchmark):
+        """The composite trees of cadbench's design_session (depth 4,
+        branching 3): 121 components, one expansion lock plan each txn."""
+        db = gate_database("e9-bench")
+        tm = TransactionManager(db)
+        top, created = generate_component_tree(db, depth=4, fanout=3)
+
+        def run():
+            txn = tm.begin()
+            count = txn.lock_expansion(top)
+            txn.commit()
+            return count
+
+        locked = benchmark(run)
+        assert created == 121 and locked > created
+
 
 class TestConflictDetection:
     def test_lock_inheritance_catches_cross_object_conflicts(self):

@@ -15,11 +15,12 @@ the lock manager's expansion locking also traverses.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import resolution as _resolution
 from ..core.inheritance import InheritanceRelationshipType
 from ..core.objects import DBObject
+from ..core.surrogate import Surrogate
 from ..errors import InheritanceError, UnknownAttributeError
 
 __all__ = [
@@ -28,7 +29,9 @@ __all__ = [
     "component_subobjects",
     "visible_image",
     "Expansion",
+    "ExpansionWalk",
     "expand",
+    "realisation_of",
 ]
 
 
@@ -105,31 +108,151 @@ class Expansion:
         self.root = root
         self.tree = tree
         self.objects = objects
+        self._surrogates: Optional[Set[Surrogate]] = None
 
     def __len__(self) -> int:
         return len(self.objects)
 
     def __contains__(self, obj: object) -> bool:
-        return isinstance(obj, DBObject) and any(
-            o.surrogate == obj.surrogate for o in self.objects
-        )
+        if not isinstance(obj, DBObject):
+            return False
+        if self._surrogates is None:
+            self._surrogates = {o.surrogate for o in self.objects}
+        return obj.surrogate in self._surrogates
 
     def __repr__(self) -> str:
         return f"<Expansion of {self.root!r} objects={len(self.objects)}>"
 
 
-def _realisation_of(component: DBObject) -> Optional[DBObject]:
+def _has_component_subobject(obj: DBObject) -> bool:
+    """True when some subobject of ``obj`` is a bound inheritor."""
+    for container in obj._subclasses.values():
+        for member in container._members.values():
+            if member._links_as_inheritor:
+                return True
+    return False
+
+
+def realisation_of(component: DBObject) -> Optional[DBObject]:
     """The implementation whose structure realises an interface component.
 
-    Mirrors the configuration traversal: the first top-level inheritor of
-    the component that itself has component subobjects.  None when the
-    component is a leaf (nothing deeper to materialise).
+    The first top-level inheritor of the component that itself has
+    component subobjects; None when the component is a leaf (nothing
+    deeper to materialise).  Expansion and configuration both descend
+    through it.
     """
-    for link in component.inheritor_links:
+    for link in component._links_as_transmitter:
         implementation = link.inheritor
-        if implementation.parent is None and component_subobjects(implementation):
+        if implementation.parent is None and _has_component_subobject(
+            implementation
+        ):
             return implementation
     return None
+
+
+def _in_own_tree(obj: DBObject, root: DBObject) -> bool:
+    """True when ``obj`` hangs below ``root`` by subobject edges alone,
+    each through a container its owner does not inherit — the tree the
+    expansion walk enters from the root."""
+    while obj is not root:
+        parent = obj.parent
+        container = obj._container
+        if (
+            parent is None
+            or container is None
+            or parent.is_member_inherited(container.name)
+        ):
+            return False
+        obj = parent
+    return True
+
+
+class ExpansionWalk:
+    """One walk over what the expansion of ``root`` reaches (§6).
+
+    ``objects`` lists every object in expansion order (preorder: an
+    object, its subobjects, then its component and the component's
+    realisation).  ``order`` maps ``id(object)`` to its position there and
+    ``own`` holds the ids of the root's own subobject tree; both are keyed
+    by ``id()`` because the object and surrogate hashes are Python-level.
+    ``tree`` is the expansion tree when the walk was given ``materialise``,
+    else None.  :func:`expand` and the §6 expansion lock plan both read
+    this walk, so they cannot disagree on what an expansion reaches.
+    """
+
+    __slots__ = ("objects", "order", "own", "tree")
+
+    def __init__(
+        self,
+        root: DBObject,
+        depth: Optional[int] = None,
+        materialise: Optional[Callable[[DBObject], Dict[str, Any]]] = None,
+    ) -> None:
+        root._ensure_alive()
+        objects: List[DBObject] = []
+        order: Dict[int, int] = {}
+        own: Set[int] = set()
+        #: id(component) -> its realisation, resolved once per walk.
+        realisations: Dict[int, Optional[DBObject]] = {}
+        build = materialise is not None
+
+        def visit(
+            obj: DBObject, remaining: Optional[int], is_own: Optional[bool]
+        ) -> Optional[Dict[str, Any]]:
+            key = id(obj)
+            if key in order:
+                return {"object": obj, "ref": True} if build else None
+            order[key] = len(objects)
+            objects.append(obj)
+            if is_own is None:
+                is_own = _in_own_tree(obj, root)
+            if is_own:
+                own.add(key)
+            attributes = materialise(obj) if build else None
+            links = obj._links_as_inheritor
+            subobjects: Dict[str, List[Any]] = {}
+            for name, container in obj._subclasses.items():
+                if links and obj.is_member_inherited(name):
+                    continue  # visible through the component link below
+                subobjects[name] = [
+                    visit(member, remaining, is_own)
+                    for member in container._members.values()
+                ]
+            component_tree = realisation_tree = None
+            if links and (remaining is None or remaining > 0):
+                next_remaining = None if remaining is None else remaining - 1
+                component = next(iter(links.values())).transmitter
+                component_tree = visit(component, next_remaining, None)
+                component_key = id(component)
+                if component_key in realisations:
+                    realisation = realisations[component_key]
+                else:
+                    realisation = realisations[component_key] = realisation_of(
+                        component
+                    )
+                if realisation is not None:
+                    realisation_tree = visit(realisation, next_remaining, None)
+            if not build:
+                return None
+            return {
+                "object": obj,
+                "attributes": attributes,
+                "subobjects": subobjects,
+                "component": component_tree,
+                "realisation": realisation_tree,
+            }
+
+        self.tree = visit(root, depth, True)
+        self.objects = objects
+        self.order = order
+        self.own = own
+
+
+def _attribute_values(obj: DBObject) -> Dict[str, Any]:
+    return {
+        name: obj.get_member(name)
+        for name in _resolution.plan_for(obj.object_type).attribute_names
+    }
 
 
 def expand(composite: DBObject, depth: Optional[int] = None) -> Expansion:
@@ -151,48 +274,12 @@ def expand(composite: DBObject, depth: Optional[int] = None) -> Expansion:
          "ref": True}             # only on re-visits of a shared object
 
     Shared objects (a component used by several slots) are expanded once;
-    later occurrences are reference nodes.
+    later occurrences are reference nodes.  The traversal is
+    :class:`ExpansionWalk`; this adds the attribute values and the tree.
     """
     obs = getattr(composite.database, "obs", None)
-    seen: Dict[Any, bool] = {}
-    objects: List[DBObject] = []
-
-    def visit(obj: DBObject, remaining: Optional[int]) -> Dict[str, Any]:
-        if obj.surrogate in seen:
-            return {"object": obj, "ref": True}
-        seen[obj.surrogate] = True
-        objects.append(obj)
-        attributes = {
-            name: obj.get_member(name)
-            for name in _resolution.plan_for(obj.object_type).attribute_names
-        }
-        subobjects: Dict[str, List[Dict[str, Any]]] = {}
-        for name in obj.subclass_names():
-            if obj.is_member_inherited(name):
-                continue  # visible through the component link below
-            subobjects[name] = [
-                visit(member, remaining) for member in obj.subclass(name)
-            ]
-        component_tree = None
-        realisation_tree = None
-        links = obj.inheritance_links
-        if links and (remaining is None or remaining > 0):
-            next_remaining = None if remaining is None else remaining - 1
-            component = links[0].transmitter
-            component_tree = visit(component, next_remaining)
-            realisation = _realisation_of(component)
-            if realisation is not None:
-                realisation_tree = visit(realisation, next_remaining)
-        return {
-            "object": obj,
-            "attributes": attributes,
-            "subobjects": subobjects,
-            "component": component_tree,
-            "realisation": realisation_tree,
-        }
-
     if obs is None:
-        tree = visit(composite, depth)
+        walk = ExpansionWalk(composite, depth, _attribute_values)
     else:
         slowlog = obs.slowlog
         started = perf_counter() if slowlog is not None else 0.0
@@ -201,18 +288,20 @@ def expand(composite: DBObject, depth: Optional[int] = None) -> Expansion:
         ) as span:
             audit = obs.audit
             if audit is None:
-                tree = visit(composite, depth)
+                walk = ExpansionWalk(composite, depth, _attribute_values)
             else:
                 # A causal frame: a re-expansion triggered from inside an
                 # event handler links to the mutation that caused it.
                 with audit.operation(
                     "composition.expand", composite, depth=depth
                 ) as record:
-                    tree = visit(composite, depth)
-                    record.detail["objects"] = len(objects)
-            span.set(objects=len(objects))
+                    walk = ExpansionWalk(composite, depth, _attribute_values)
+                    record.detail["objects"] = len(walk.objects)
+            span.set(objects=len(walk.objects))
         obs.metrics.counter("composition.expansions").inc()
-        obs.metrics.histogram("composition.expansion_size").observe(len(objects))
+        obs.metrics.histogram("composition.expansion_size").observe(
+            len(walk.objects)
+        )
         if slowlog is not None:
             duration = perf_counter() - started
             if slowlog.exceeded("expansion", duration):
@@ -221,6 +310,6 @@ def expand(composite: DBObject, depth: Optional[int] = None) -> Expansion:
                     duration,
                     subject=composite,
                     depth=depth,
-                    objects=len(objects),
+                    objects=len(walk.objects),
                 )
-    return Expansion(composite, tree, objects)
+    return Expansion(composite, walk.tree, walk.objects)

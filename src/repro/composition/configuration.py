@@ -20,8 +20,7 @@ from typing import List, Optional, Set
 
 from ..core.objects import DBObject
 from ..core.surrogate import Surrogate
-from .composite import component_subobjects
-from .interfaces import implementations_of
+from .composite import component_subobjects, realisation_of
 
 __all__ = [
     "ConfigurationNode",
@@ -72,19 +71,6 @@ class ConfigurationNode:
         )
 
 
-def _realisation_of(component: DBObject) -> DBObject:
-    """The object whose structure realises ``component``.
-
-    If the component (an interface) has implementations, the configuration
-    descends into the first one whose own components exist; otherwise the
-    component itself is the realisation (a leaf or a directly-used object).
-    """
-    for implementation in implementations_of(component):
-        if implementation.parent is None and component_subobjects(implementation):
-            return implementation
-    return component
-
-
 def configuration(
     composite: DBObject, max_depth: Optional[int] = None
 ) -> ConfigurationNode:
@@ -113,7 +99,8 @@ def _descend(
     active = active | {realisation.surrogate}
     for subobject in component_subobjects(realisation):
         component = subobject.inheritance_links[0].transmitter
-        child_realisation = _realisation_of(component)
+        # A component without a realisation is a leaf or used directly.
+        child_realisation = realisation_of(component) or component
         child = ConfigurationNode(child_realisation, subobject, component)
         node.children.append(child)
         _descend(
@@ -173,7 +160,8 @@ def provides_all_components(composite: DBObject) -> bool:
     if missing_components(composite):
         return False
     for subobject in component_subobjects(composite):
-        realisation = _realisation_of(subobject.inheritance_links[0].transmitter)
+        component = subobject.inheritance_links[0].transmitter
+        realisation = realisation_of(component) or component
         if realisation is not composite and not provides_all_components(realisation):
             return False
     return True

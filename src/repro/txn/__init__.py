@@ -6,6 +6,7 @@ from .groups import TransactionGroup
 from .lock_inheritance import (
     expansion_lock_plan,
     inherited_lock_plan,
+    naive_expansion_lock_plan,
     note_inherited_conflict,
 )
 from .locks import WAIT_BUCKETS, LockEntry, LockMode, LockTable, scopes_overlap
@@ -18,6 +19,7 @@ __all__ = [
     "TransactionGroup",
     "expansion_lock_plan",
     "inherited_lock_plan",
+    "naive_expansion_lock_plan",
     "note_inherited_conflict",
     "WAIT_BUCKETS",
     "LockEntry",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Set, Tuple
 
+from ..composition.composite import ExpansionWalk
 from ..core import resolution as _resolution
 from ..core.objects import DBObject
 from ..core.surrogate import Surrogate
@@ -26,6 +27,7 @@ from .locks import LockMode
 __all__ = [
     "inherited_lock_plan",
     "expansion_lock_plan",
+    "naive_expansion_lock_plan",
     "note_inherited_conflict",
 ]
 
@@ -103,26 +105,112 @@ def _collect(
             _collect(transmitter, relevant, plan, seen)
 
 
+#: (object, scope, mode) — one entry of an expansion lock plan.
+ExpansionPlanItem = Tuple[DBObject, Optional[FrozenSet[str]], str]
+
+
+def _permeable(link) -> FrozenSet[str]:
+    """The members ``link`` lets through to its inheritor."""
+    permeable = _resolution.plan_for(link.inheritor.object_type).permeable_sets.get(
+        link.rel_type.name
+    )
+    if permeable is None:
+        permeable = frozenset(link.rel_type.inheriting)
+    return permeable
+
+
 def expansion_lock_plan(
     composite: DBObject, mode: str = LockMode.S
-) -> List[Tuple[DBObject, Optional[FrozenSet[str]], str]]:
+) -> List[ExpansionPlanItem]:
     """The lock set for working on a composite object's expansion (§6).
 
     Covers the composite itself, its whole subobject tree, and — through
     lock inheritance — the visible parts of every component the expansion
-    materialises.  Components' *own* entries are scoped to their permeable
+    reaches.  Components' *own* entries are scoped to their permeable
     members; everything inside the composite is locked whole.
 
-    Returns ``(object, scope, mode)`` triples; the transaction layer caps
-    each mode through access control before acquiring.
+    Returns ``(object, scope, mode)`` triples in expansion order; the
+    transaction layer caps each mode through access control before
+    acquiring.  The plan is computed from object structure alone (one
+    :class:`~repro.composition.composite.ExpansionWalk`, no attribute
+    values read); :func:`naive_expansion_lock_plan` is its oracle.
     """
-    from ..composition.composite import expand
-
+    walk = ExpansionWalk(composite)
+    order = walk.order
+    own = walk.own
+    plan: List[ExpansionPlanItem] = []
+    for index, obj in enumerate(walk.objects):
+        if id(obj) in own:
+            plan.append((obj, None, mode))
+            continue
+        # A component reached through a link: only the part visible to
+        # inheritors listed before it (or inside the composite) is locked,
+        # and never exclusively through mere expansion.
+        visible: Optional[FrozenSet[str]] = None
+        for link in obj._links_as_transmitter:
+            key = id(link.inheritor)
+            if key in own or order.get(key, index) < index:
+                permeable = _permeable(link)
+                visible = permeable if visible is None else visible | permeable
+        plan.append((obj, visible or None, LockMode.S))
     obs = getattr(composite.database, "obs", None)
-    plan: List[Tuple[DBObject, Optional[FrozenSet[str]], str]] = []
-    listed: Set[Surrogate] = set()
+    if obs is not None:
+        obs.metrics.counter("locks.expansion_plans").inc()
+        obs.metrics.histogram("locks.expansion_plan_size").observe(len(plan))
+        audit = obs.audit
+        if audit is not None:
+            audit.record("lock.expansion_plan", composite, size=len(plan))
+    return plan
 
-    expansion = expand(composite)
+
+def naive_expansion_lock_plan(
+    composite: DBObject, mode: str = LockMode.S
+) -> List[ExpansionPlanItem]:
+    """Oracle for :func:`expansion_lock_plan`: the plan as first written.
+
+    It expands the composite the way :func:`expand` did before the walk
+    was shared — surrogate-keyed, through the public object API and the
+    component-subobject lists — collects the composite's own tree in a
+    second walk, and scopes every other object by the inheritors listed
+    before it.  It shares no traversal code with the plan it checks.
+    Reads no attribute values; a deleted composite raises
+    :class:`~repro.errors.ObjectDeletedError` like the plan.
+    """
+    from ..composition.composite import component_subobjects
+
+    composite._ensure_alive()
+    objects: List[DBObject] = []
+    seen: Set[Surrogate] = set()
+
+    def realisation(component: DBObject) -> Optional[DBObject]:
+        for link in component.inheritor_links:
+            implementation = link.inheritor
+            if implementation.parent is None and component_subobjects(
+                implementation
+            ):
+                return implementation
+        return None
+
+    def visit(obj: DBObject) -> None:
+        if obj.surrogate in seen:
+            return
+        seen.add(obj.surrogate)
+        objects.append(obj)
+        for name in obj.subclass_names():
+            if obj.is_member_inherited(name):
+                continue
+            for member in obj.subclass(name):
+                visit(member)
+        links = obj.inheritance_links
+        if links:
+            component = links[0].transmitter
+            visit(component)
+            realised = realisation(component)
+            if realised is not None:
+                visit(realised)
+
+    visit(composite)
+
     own_tree: Set[Surrogate] = set()
 
     def collect_tree(obj: DBObject) -> None:
@@ -135,33 +223,18 @@ def expansion_lock_plan(
 
     collect_tree(composite)
 
-    for obj in expansion.objects:
-        if obj.surrogate in listed:
-            continue
+    plan: List[ExpansionPlanItem] = []
+    listed: Set[Surrogate] = set()
+    for obj in objects:
         listed.add(obj.surrogate)
         if obj.surrogate in own_tree:
             plan.append((obj, None, mode))
-        else:
-            # A component reached through a link: only its visible part is
-            # locked, and never exclusively through mere expansion.
-            visible: Set[str] = set()
-            for link in obj.inheritor_links:
-                inheritor = link.inheritor
-                if inheritor.surrogate in listed or (
-                    inheritor.surrogate in own_tree
-                ):
-                    permeable = _resolution.plan_for(
-                        inheritor.object_type
-                    ).permeable_sets.get(link.rel_type.name)
-                    if permeable is None:
-                        permeable = frozenset(link.rel_type.inheriting)
-                    visible |= permeable
-            scope = frozenset(visible) if visible else None
-            plan.append((obj, scope, LockMode.S))
-    if obs is not None:
-        obs.metrics.counter("locks.expansion_plans").inc()
-        obs.metrics.histogram("locks.expansion_plan_size").observe(len(plan))
-        audit = obs.audit
-        if audit is not None:
-            audit.record("lock.expansion_plan", composite, size=len(plan))
+            continue
+        visible: Set[str] = set()
+        for link in obj.inheritor_links:
+            inheritor = link.inheritor
+            if inheritor.surrogate in listed or inheritor.surrogate in own_tree:
+                visible |= _permeable(link)
+        plan.append((obj, frozenset(visible) if visible else None, LockMode.S))
     return plan
+

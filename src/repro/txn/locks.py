@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.surrogate import Surrogate
 from ..errors import DeadlockError, LockConflictError, LockTimeoutError
@@ -204,6 +204,23 @@ class LockTable:
             if origin is not None:
                 self.obs.metrics.counter(f"locks.conflicts.{origin}").inc()
 
+    def _merge(
+        self, entries: List[LockEntry], txn_id: int, mode: str, scope: Scope
+    ) -> Tuple[Optional[LockEntry], str, Scope, List[LockEntry]]:
+        """A request against an object's granted entries: the transaction's
+        own entry (or None), the mode and scope merged with it, and every
+        entry of another owner the merged request conflicts with."""
+        own = next((e for e in entries if e.txn_id == txn_id), None)
+        if own is not None:
+            mode = LockMode.stronger(own.mode, mode)
+            if own.scope is None or scope is None:
+                scope = None
+            else:
+                scope = frozenset(own.scope | scope)
+        elif scope is not None:
+            scope = frozenset(scope)
+        return own, mode, scope, self._blockers(entries, txn_id, mode, scope)
+
     def _audit(self, kind: str, subject: Any, **detail: Any) -> None:
         obs = self.obs
         if obs is not None:
@@ -255,27 +272,17 @@ class LockTable:
                     sync=("mutex", id(self)),
                 )
             entries = self._locks.setdefault(surrogate, [])
-            own = next((e for e in entries if e.txn_id == txn_id), None)
-            if own is not None:
-                requested_mode = LockMode.stronger(own.mode, mode)
-                if own.scope is None or scope is None:
-                    requested_scope: Scope = None
-                else:
-                    requested_scope = frozenset(own.scope | scope)
+            blockers: List[LockEntry] = []
+            if entries:
+                own, requested_mode, requested_scope, blockers = self._merge(
+                    entries, txn_id, mode, scope
+                )
             else:
+                # The uncontended first lock on an object (every locked
+                # read in E9) skips the merge call.
+                own = None
                 requested_mode = mode
                 requested_scope = None if scope is None else frozenset(scope)
-
-            # Inline blocker scan: entries is almost always empty or just
-            # this transaction's own lock, so the uncontended acquire must
-            # not pay a call + list build (this path prices every locked
-            # read in E9).
-            blockers: List[LockEntry] = []
-            for entry in entries:
-                if not self._same_owner(
-                    entry.txn_id, txn_id
-                ) and entry.conflicts_with(requested_mode, requested_scope):
-                    blockers.append(entry)
             if blockers:
                 self._note_conflict(requested_mode, origin)
                 if not wait:
@@ -328,6 +335,89 @@ class LockTable:
             entries.append(entry)
             self._by_txn.setdefault(txn_id, []).append((surrogate, entry))
             return entry
+
+    def acquire_many(
+        self,
+        txn_id: int,
+        requests: Sequence[Tuple[Surrogate, str, Scope]],
+        wait: bool = False,
+        timeout: Optional[float] = None,
+        origin: Optional[str] = None,
+    ) -> None:
+        """Grant ``(surrogate, mode, scope)`` requests in order, taking the
+        mutex once.
+
+        Each request gets :meth:`acquire`'s own-entry merge and conflict
+        check, and the grant counters (``locks.acquired``,
+        ``locks.acquired.<mode>``, ``locks.whole_object``,
+        ``locks.scope_size``) are updated once for the batch with the
+        values the one-by-one calls would leave.  At the first request
+        that conflicts the batch stops: that request and the rest go
+        through :meth:`acquire` one by one, so the error, the holder, the
+        conflict counters, waiting, timeouts and deadlock refusal are
+        exactly :meth:`acquire`'s — and the locks granted before the
+        conflict stay held until the transaction ends, as they would.
+        """
+        san = TSAN
+        locks = self._locks
+        granted = whole = 0
+        by_mode: Dict[str, int] = {}
+        sizes: List[int] = []
+        with self._mutex:
+            if san is not None:
+                san.write(
+                    ("locktable", id(self)), label="locktable",
+                    sync=("mutex", id(self)),
+                )
+            held = self._by_txn.get(txn_id)
+            for surrogate, mode, scope in requests:
+                entries = locks.get(surrogate)
+                if entries:
+                    own, mode, scope, blockers = self._merge(
+                        entries, txn_id, mode, scope
+                    )
+                    if blockers:
+                        break
+                else:
+                    own = None
+                    if scope is not None:
+                        scope = frozenset(scope)
+                    if entries is None:
+                        entries = locks[surrogate] = []
+                if own is not None:
+                    own.mode = mode
+                    own.scope = scope
+                else:
+                    entry = LockEntry(txn_id, mode, scope)
+                    entries.append(entry)
+                    if held is None:
+                        held = self._by_txn[txn_id] = []
+                    held.append((surrogate, entry))
+                granted += 1
+                by_mode[mode] = by_mode.get(mode, 0) + 1
+                if scope is None:
+                    whole += 1
+                else:
+                    sizes.append(len(scope))
+                if san is not None:
+                    san.lock_acquired(("lock", id(self), surrogate))
+            obs = self.obs
+            if obs is not None and granted:
+                metrics = obs.metrics
+                metrics.counter("locks.acquired").inc(granted)
+                for mode, count in by_mode.items():
+                    metrics.counter(f"locks.acquired.{mode}").inc(count)
+                if whole:
+                    metrics.counter("locks.whole_object").inc(whole)
+                if sizes:
+                    hist = metrics.histogram("locks.scope_size")
+                    for size in sizes:
+                        hist.observe(size)
+        for surrogate, mode, scope in requests[granted:]:
+            self.acquire(
+                txn_id, surrogate, mode, scope,
+                wait=wait, timeout=timeout, origin=origin,
+            )
 
     def _conflict_error(
         self,
