@@ -2,12 +2,19 @@
 
 Save/load round-trip cost over growing instance populations: both should
 be linear in object count, and a loaded database must preserve the value-
-inheritance read path (asserted).
+inheritance read path (asserted).  ``save_load_file`` prices the durable
+path end to end: a streamed, fsynced ``save`` to a temp file and a ``load``
+back from it.
 """
+
+import atexit
+import os
+import shutil
+import tempfile
 
 import pytest
 
-from repro.engine import Database, dump_image, load_image
+from repro.engine import Database, dump_image, load, load_image, save
 from repro.ddl.paper import load_gate_schema
 from repro.workloads import gate_database, generate_library
 
@@ -47,6 +54,13 @@ class TestPersistenceScale:
 
         benchmark.pedantic(run, setup=setup, rounds=5)
 
+    @pytest.mark.parametrize("n_interfaces", LIBRARY_SIZES)
+    def test_save_load_file(self, benchmark, n_interfaces, tmp_path):
+        db = library_db(n_interfaces)
+        run = save_load_file(db, str(tmp_path / "image.json"))
+        target = benchmark.pedantic(run, rounds=5)
+        assert target.count() == db.count()
+
     def test_loaded_inheritance_is_live(self):
         db = library_db(5)
         image = dump_image(db)
@@ -58,6 +72,16 @@ class TestPersistenceScale:
         iface = impl.inheritance_links[0].transmitter
         iface.set_attribute("Length", 499)
         assert impl["Length"] == 499
+
+
+def save_load_file(db, path):
+    """One durable round-trip of ``db`` through the image file at ``path``."""
+
+    def run():
+        save(db, path)
+        return load(path, fresh_target())
+
+    return run
 
 
 def register(suite):
@@ -78,3 +102,9 @@ def register(suite):
             load_image(image, fresh_target())
 
         return run
+
+    @suite.case(f"save_load_file[{n_interfaces}]")
+    def save_load_case():
+        directory = tempfile.mkdtemp(prefix="e11-")
+        atexit.register(shutil.rmtree, directory, True)
+        return save_load_file(library_db(n_interfaces), os.path.join(directory, "image.json"))
